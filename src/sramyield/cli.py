@@ -179,11 +179,16 @@ class Run:
         return digest
 
 
-def _load_cell(run, path):
-    if path is None:
-        return load_default_cell()
-    run.note_input(path)
-    return read_cell_json(path)
+def _load_inputs(run, args):
+    """Cell and variation of a sampling subcommand; records the seed in the run."""
+    if args.cell is None:
+        cell = load_default_cell()
+    else:
+        run.note_input(args.cell)
+        cell = read_cell_json(args.cell)
+    var = _load_variation(run, args.variation, args.seed)
+    run.seed = var.seed
+    return cell, var
 
 
 def _load_variation(run, path, seed_override):
@@ -259,9 +264,7 @@ def cmd_fit(args, run, log):
 
 
 def cmd_characterize(args, run, log):
-    cell = _load_cell(run, args.cell)
-    var = _load_variation(run, args.variation, args.seed)
-    run.seed = var.seed
+    cell, var = _load_inputs(run, args)
     if args.mode == "access":
         n = args.n if args.n is not None else 200
         if args.t_lo is not None and args.t_hi is not None:
@@ -322,42 +325,42 @@ def cmd_yield(args, run, log):
         print(f"constraint {t!r} s -> pf {pf!r}")
 
 
-def cmd_compare(args, run, log):
-    cell = _load_cell(run, args.cell)
-    var = _load_variation(run, args.variation, args.seed)
-    run.seed = var.seed
-    constraints = _parse_float_list(args.constraints, "constraint")
-    n = args.n
+def _closed_model(args, cell, var):
+    """Closed-oracle characterization of the mode's distribution."""
     if args.mode == "access":
         grid = auto_read_grid(cell, var.offset, points=args.grid_points)
-        char = characterize_access(cell, var, grid, n=args.char_n or 200,
+        return characterize_access(cell, var, grid, n=args.char_n or 200,
                                    mode="closed", threads=args.threads)
-    else:
-        dist = characterize_write(cell, var, n=args.char_n or 1600,
-                                  mode="closed", t0=args.t0, threads=args.threads)
+    return characterize_write(cell, var, n=args.char_n or 1600,
+                              mode="closed", t0=args.t0, threads=args.threads)
+
+
+def cmd_compare(args, run, log):
+    cell, var = _load_inputs(run, args)
+    constraints = _parse_float_list(args.constraints, "constraint")
+    model = _closed_model(args, cell, var)
     rows = []
     for t in constraints:
         if args.mode == "access":
-            pf_a = char.ber_at(t, var.offset)
-            r = run_access_mc(cell, var, n, t, mode=args.oracle, threads=args.threads)
+            pf_a = model.ber_at(t, var.offset)
+            r = run_access_mc(cell, var, args.n, t, mode=args.oracle, threads=args.threads)
         else:
-            pf_a = write_fail_prob(dist, t)
-            r = run_write_mc(cell, var, n, t, mode=args.oracle, threads=args.threads)
+            pf_a = write_fail_prob(model, t)
+            r = run_write_mc(cell, var, args.n, t, mode=args.oracle, threads=args.threads)
         rel = relative_error(r.pf, pf_a) if r.pf > 0 else None
         if rel is None:
             log.warning("zero-failure MC row; relative error omitted", constraint=t)
-        rows.append((t, pf_a, r))
+        rows.append((t, pf_a, r, rel))
     p = run.out_path(args.out)
     with open(p, "w") as fh:
         fh.write("# manifest: manifest.json\n")
         fh.write("constraint,pf_analytical,pf_mc,mc_lo,mc_hi,rel_error,oracle\n")
-        for t, pf_a, r in rows:
-            rel = relative_error(r.pf, pf_a) if r.pf > 0 else None
+        for t, pf_a, r, rel in rows:
             fh.write(
                 f"{t!r},{pf_a!r},{r.pf!r},{r.ci95[0]!r},{r.ci95[1]!r},"
                 f"{_fmt(rel)},{args.oracle}\n"
             )
-    for t, pf_a, r in rows:
+    for t, pf_a, r, _ in rows:
         print(f"constraint {t!r}: analytical {pf_a!r} mc {r.pf!r} ci {r.ci95[0]!r}..{r.ci95[1]!r}")
 
 
@@ -375,9 +378,7 @@ def _sweep_cell(base, axis, value):
 
 
 def cmd_sweep(args, run, log):
-    base = _load_cell(run, args.cell)
-    var = _load_variation(run, args.variation, args.seed)
-    run.seed = var.seed
+    base, var = _load_inputs(run, args)
     values = _parse_float_list(args.values, "axis value")
     if args.axis == "temperature":
         log.warning(
@@ -387,16 +388,8 @@ def cmd_sweep(args, run, log):
     rows = []
     for v in values:
         try:
-            cell = _sweep_cell(base, args.axis, v)
-            if args.mode == "access":
-                grid = auto_read_grid(cell, var.offset, points=args.grid_points)
-                char = characterize_access(cell, var, grid, n=args.char_n or 200,
-                                           mode="closed", threads=args.threads)
-                t = invert_for_constraint(char, args.target, offset=var.offset)
-            else:
-                dist = characterize_write(cell, var, n=args.char_n or 1600,
-                                          mode="closed", t0=args.t0, threads=args.threads)
-                t = invert_for_constraint(dist, args.target)
+            model = _closed_model(args, _sweep_cell(base, args.axis, v), var)
+            t = invert_for_constraint(model, args.target, offset=var.offset)
         except WorkbenchError as exc:
             raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc
         rows.append((v, t))
@@ -415,9 +408,7 @@ def cmd_qq(args, run, log):
     from .mc import access_samples, write_samples
     from .yieldmodel import estimate_delta_params, estimate_write_params
 
-    cell = _load_cell(run, args.cell)
-    var = _load_variation(run, args.variation, args.seed)
-    run.seed = var.seed
+    cell, var = _load_inputs(run, args)
     if not 0.0 < args.tail_percent <= 100.0:
         raise ParseError(f"--tail-percent must be in (0, 100], got {args.tail_percent}")
     if args.mode == "access":
@@ -440,9 +431,7 @@ def cmd_qq(args, run, log):
 
 
 def cmd_mc(args, run, log):
-    cell = _load_cell(run, args.cell)
-    var = _load_variation(run, args.variation, args.seed)
-    run.seed = var.seed
+    cell, var = _load_inputs(run, args)
     export = run.out_path(args.export) if args.export else None
     if args.mode == "access":
         if args.t_read is None:

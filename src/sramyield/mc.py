@@ -19,7 +19,8 @@ from scipy.special import ndtri
 
 from .errors import DegenerateStatisticsError, DomainError, ParseError
 from .transients import default_write_t_max, delta_v_closed, delta_v_ode, write_time_closed, write_time_ode
-from .yieldmodel import OffsetVoltageDist
+from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
+                         estimate_delta_params, estimate_write_params)
 
 _ROLE_ACCESS = 1
 _ROLE_WRITE = 2
@@ -130,20 +131,21 @@ def _block_uniforms(seed, role, start, count):
     return np.maximum(u, _MIN_UNIFORM)
 
 
+def _draw(var, role, start, count, other_mean, other_sigma):
+    """(vth_n, other) arrays of one role's stream, block-indexed."""
+    u = _block_uniforms(var.seed, role, start, count)
+    vth_n = var.vth_n_mean + var.vth_n_sigma * ndtri(u[:, 0])
+    return vth_n, other_mean + other_sigma * ndtri(u[:, 1])
+
+
 def draw_access_samples(var, start, count):
     """(vth_n, v_os) arrays for the access stream, block-indexed."""
-    u = _block_uniforms(var.seed, _ROLE_ACCESS, start, count)
-    vth_n = var.vth_n_mean + var.vth_n_sigma * ndtri(u[:, 0])
-    v_os = var.offset.mu_vos + var.offset.sigma_vos * ndtri(u[:, 1])
-    return vth_n, v_os
+    return _draw(var, _ROLE_ACCESS, start, count, var.offset.mu_vos, var.offset.sigma_vos)
 
 
 def draw_write_samples(var, start, count):
     """(vth_n, vth_p) arrays for the write stream, block-indexed."""
-    u = _block_uniforms(var.seed, _ROLE_WRITE, start, count)
-    vth_n = var.vth_n_mean + var.vth_n_sigma * ndtri(u[:, 0])
-    vth_p = var.vth_p_mean + var.vth_p_sigma * ndtri(u[:, 1])
-    return vth_n, vth_p
+    return _draw(var, _ROLE_WRITE, start, count, var.vth_p_mean, var.vth_p_sigma)
 
 
 def _chunks(n, threads):
@@ -161,23 +163,39 @@ def _parallel_map(fn, n, threads):
 
 # -- sample evaluation ------------------------------------------------------------
 
+def _samples(role, cell, var, n, mode, threads, t, base=0):
+    """Draw blocks [base, base+n) of a role's stream and evaluate its oracle.
+
+    `t` is the read time for access and the ODE censoring horizon t_max for
+    write (None picks the default). Returns (vth_n, other, metric) arrays in
+    sample-index order; other is v_os for access and vth_p for write.
+    """
+    if mode not in ("closed", "ode"):
+        raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
+    closed = mode == "closed"
+    if role == _ROLE_WRITE and not closed and t is None:
+        t = default_write_t_max(cell)
+
+    def work(start, count):
+        if role == _ROLE_ACCESS:
+            vth_n, other = draw_access_samples(var, base + start, count)
+            metric = (delta_v_closed if closed else delta_v_ode)(cell, vth_n, t)
+        else:
+            vth_n, other = draw_write_samples(var, base + start, count)
+            metric = (write_time_closed(cell, vth_n) if closed
+                      else write_time_ode(cell, vth_n, other, t))
+        return vth_n, other, np.asarray(metric, dtype=float)
+
+    parts = _parallel_map(work, n, threads)
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def access_samples(cell, var, n, t_read, mode="closed", threads=1):
     """Draw n access samples and evaluate the chosen oracle.
 
     Returns (vth_n, v_os, delta_v) arrays in sample-index order.
     """
-    _check_mode(mode)
-
-    def work(start, count):
-        vth_n, v_os = draw_access_samples(var, start, count)
-        if mode == "closed":
-            dv = delta_v_closed(cell, vth_n, t_read)
-        else:
-            dv = delta_v_ode(cell, vth_n, t_read)
-        return vth_n, v_os, dv
-
-    parts = _parallel_map(work, n, threads)
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return _samples(_ROLE_ACCESS, cell, var, n, mode, threads, t_read)
 
 
 def write_samples(cell, var, n, mode="closed", t_max=None, threads=1):
@@ -186,40 +204,27 @@ def write_samples(cell, var, n, mode="closed", t_max=None, threads=1):
     Returns (vth_n, vth_p, t_write) arrays; censored ODE samples are inf.
     Closed mode ignores t_max (the closed form never censors).
     """
-    _check_mode(mode)
-    if mode == "ode" and t_max is None:
-        t_max = default_write_t_max(cell)
-
-    def work(start, count):
-        vth_n, vth_p = draw_write_samples(var, start, count)
-        if mode == "closed":
-            t = write_time_closed(cell, vth_n)
-        else:
-            t = write_time_ode(cell, vth_n, vth_p, t_max)
-        return vth_n, vth_p, np.asarray(t, dtype=float)
-
-    parts = _parallel_map(work, n, threads)
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
-
-
-def _check_mode(mode):
-    if mode not in ("closed", "ode"):
-        raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
+    return _samples(_ROLE_WRITE, cell, var, n, mode, threads, t_max)
 
 
 # -- top-level MC runs ------------------------------------------------------------
 
-def run_access_mc(cell, var, n, t_read, mode="closed", threads=1, export_path=None):
-    """Empirical access failure probability: fail iff v_os > 0 and dv < v_os."""
+def _run_mc(n, what, constraint, sample, fails, other_column, export_path):
+    """One timed MC run. `sample()` checks the role's own arguments and returns
+    (vth_n, other, metric); `fails(other, metric)` is the role's failure rule;
+    the export writes `other` into the CSV column `other_column`."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    if not math.isfinite(constraint):
+        raise DomainError(f"{what} must be finite, got {constraint!r}")
     started = time.perf_counter()
-    vth_n, v_os, dv = access_samples(cell, var, n, t_read, mode=mode, threads=threads)
-    fail = (v_os > 0.0) & (dv < v_os)
+    vth_n, other, metric = sample()
+    fail = fails(other, metric)
     failures = int(np.sum(fail))
     wall = time.perf_counter() - started
     if export_path is not None:
-        export_samples(export_path, vth_n=vth_n, v_os=v_os, metric=dv, fail=fail)
+        export_samples(export_path, vth_n=vth_n, metric=metric, fail=fail,
+                       **{other_column: other})
     return McResult(
         n=n,
         failures=failures,
@@ -228,6 +233,13 @@ def run_access_mc(cell, var, n, t_read, mode="closed", threads=1, export_path=No
         samples_path=str(export_path) if export_path is not None else None,
         wall_time=wall,
     )
+
+
+def run_access_mc(cell, var, n, t_read, mode="closed", threads=1, export_path=None):
+    """Empirical access failure probability: fail iff v_os > 0 and dv < v_os."""
+    return _run_mc(n, "t_read", t_read,
+                   lambda: access_samples(cell, var, n, t_read, mode=mode, threads=threads),
+                   lambda v_os, dv: (v_os > 0.0) & (dv < v_os), "v_os", export_path)
 
 
 def run_write_mc(cell, var, n, t_write, mode="closed", threads=1, t_max=None,
@@ -237,32 +249,18 @@ def run_write_mc(cell, var, n, t_write, mode="closed", threads=1, t_max=None,
     Censored ODE samples count as failures; constraints beyond the censoring
     horizon are rejected.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not t_write > 0.0:
-        raise DomainError(f"t_write must be > 0, got {t_write}")
-    if mode == "ode":
-        if t_max is None:
-            t_max = default_write_t_max(cell)
-        if t_write > t_max:
+    def sample():
+        if not t_write > 0.0:
+            raise DomainError(f"t_write must be > 0, got {t_write}")
+        horizon = default_write_t_max(cell) if mode == "ode" and t_max is None else t_max
+        if mode == "ode" and t_write > horizon:
             raise DomainError(
-                f"t_write {t_write!r} exceeds the censoring horizon t_max {t_max!r}"
+                f"t_write {t_write!r} exceeds the censoring horizon t_max {horizon!r}"
             )
-    started = time.perf_counter()
-    vth_n, vth_p, t = write_samples(cell, var, n, mode=mode, t_max=t_max, threads=threads)
-    fail = t > t_write
-    failures = int(np.sum(fail))
-    wall = time.perf_counter() - started
-    if export_path is not None:
-        export_samples(export_path, vth_n=vth_n, vth_p=vth_p, metric=t, fail=fail)
-    return McResult(
-        n=n,
-        failures=failures,
-        pf=failures / n,
-        ci95=wilson_ci(failures, n, 0.95),
-        samples_path=str(export_path) if export_path is not None else None,
-        wall_time=wall,
-    )
+        return write_samples(cell, var, n, mode=mode, t_max=horizon, threads=threads)
+
+    return _run_mc(n, "t_write", t_write, sample, lambda vth_p, t: t > t_write,
+                   "vth_p", export_path)
 
 
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
@@ -301,24 +299,12 @@ def characterize_access(cell, var, t_grid, n=200, mode="closed", threads=1):
     estimates carry independent noise per point and interpolation between
     points averages it down.
     """
-    from .yieldmodel import AccessCharacterization, estimate_delta_params
-
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 1:
         raise DomainError("characterization grid needs at least 1 point")
     mus, sigmas = [], []
     for j, t in enumerate(t_grid):
-
-        def work(start, count, t=t, base=j * n):
-            vth_n, _ = draw_access_samples(var, base + start, count)
-            if mode == "closed":
-                dv = delta_v_closed(cell, vth_n, t)
-            else:
-                dv = delta_v_ode(cell, vth_n, t)
-            return (dv,)
-
-        _check_mode(mode)
-        (dv,) = (np.concatenate(cols) for cols in zip(*_parallel_map(work, n, threads)))
+        _, _, dv = _samples(_ROLE_ACCESS, cell, var, n, mode, threads, t, base=j * n)
         dist = estimate_delta_params(dv)
         mus.append(dist.mu_delta)
         sigmas.append(dist.sigma_delta)
@@ -329,8 +315,6 @@ def characterize_access(cell, var, t_grid, n=200, mode="closed", threads=1):
 
 def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, threads=1):
     """Moment estimation for the write-time distribution from n samples."""
-    from .yieldmodel import DEFAULT_T0, estimate_write_params
-
     if t0 is None:
         t0 = DEFAULT_T0
     _, _, t = write_samples(cell, var, n, mode=mode, t_max=t_max, threads=threads)

@@ -273,7 +273,7 @@ def delta_v_closed(cell, vth_n, t_read):
     """
     vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise DomainError("t_read must be >= 0")
     nm = cell.nmos
     vt = thermal_voltage(cell.temperature_c)
@@ -319,7 +319,7 @@ def delta_v_ode(cell, vth_n, t_read, n_steps=DELTA_V_ODE_STEPS):
     """
     vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise DomainError("t_read must be >= 0")
     vth_b, t_b = np.broadcast_arrays(vth_n, t)
     shape = vth_b.shape

@@ -124,7 +124,8 @@ class OffsetVoltageDist:
 
 # -- estimation -----------------------------------------------------------------
 
-def _clean_samples(samples, what, floor, floor_advice):
+def _sqrt_moments(samples, what, floor, floor_advice, root):
+    """Mean and sample deviation of root(samples), all of which must exceed floor."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 30:
         raise DegenerateStatisticsError(
@@ -134,20 +135,20 @@ def _clean_samples(samples, what, floor, floor_advice):
     if bad.size:
         i = int(bad[0])
         raise DomainError(
-            f"{what} sample {i} = {arr[i]!r} is not above {floor_advice}"
+            f"{what} sample {i} = {float(arr[i])!r} is not above {floor_advice}"
         )
-    return arr
+    r = root(arr)
+    mu = float(np.mean(r))
+    sigma = float(np.std(r, ddof=1))
+    # relative floor: identical inputs leave only mean-subtraction rounding
+    if not sigma > mu * 1e-12:
+        raise DegenerateStatisticsError(f"{what} samples have zero variance")
+    return mu, sigma
 
 
 def estimate_delta_params(samples):
     """Sample moments of sqrt(delta_v). All samples must be positive volts."""
-    arr = _clean_samples(samples, "delta_v", 0.0, "zero")
-    root = np.sqrt(arr)
-    mu = float(np.mean(root))
-    sigma = float(np.std(root, ddof=1))
-    # relative floor: identical inputs leave only mean-subtraction rounding
-    if not sigma > mu * 1e-12:
-        raise DegenerateStatisticsError("delta_v samples have zero variance")
+    mu, sigma = _sqrt_moments(samples, "delta_v", 0.0, "zero", np.sqrt)
     return DeltaVDistribution(mu_delta=mu, sigma_delta=sigma)
 
 
@@ -155,23 +156,9 @@ def estimate_write_params(samples, t0=DEFAULT_T0):
     """Sample moments of sqrt(ln(t/t0)). Samples at or below t0 are rejected."""
     if not t0 > 0.0:
         raise DomainError(f"t0 must be > 0, got {t0}")
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size < 30:
-        raise DegenerateStatisticsError(
-            f"write-time estimation needs at least 30 samples, got {arr.size}"
-        )
-    bad = np.nonzero(~(arr > t0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(
-            f"write-time sample {i} = {arr[i]!r} is not above t0 = {t0!r}; "
-            "choose a smaller reference t0"
-        )
-    root = np.sqrt(np.log(arr / t0))
-    mu = float(np.mean(root))
-    sigma = float(np.std(root, ddof=1))
-    if not sigma > mu * 1e-12:
-        raise DegenerateStatisticsError("write-time samples have zero variance")
+    mu, sigma = _sqrt_moments(samples, "write-time", t0,
+                              f"t0 = {t0!r}; choose a smaller reference t0",
+                              lambda t: np.sqrt(np.log(t / t0)))
     return WriteTimeDistribution(mu_w=mu, sigma_w=sigma, t0=t0)
 
 

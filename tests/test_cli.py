@@ -86,6 +86,13 @@ class TestExitCodes:
                      "--tail-percent", "0")
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("mode,flag", [("access", "--t-read"), ("write", "--t-write")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_mc_rejects_non_finite_constraint(self, tmp_path, capsys, mode, flag, value):
+        rc = run_cli(tmp_path, "mc", "--mode", mode, "--n", "10", f"{flag}={value}")
+        assert rc == EXIT_DOMAIN
+        assert "must be finite" in capsys.readouterr().err
+
     def test_mc_needs_deadline(self, tmp_path):
         assert run_cli(tmp_path, "mc", "--mode", "access", "--n", "10") == EXIT_PARSE
         assert run_cli(tmp_path, "mc", "--mode", "write", "--n", "10") == EXIT_PARSE

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sramyield import mc
 from sramyield.errors import (
     DegenerateStatisticsError,
     DomainError,
@@ -349,6 +350,50 @@ class TestCharacterizeAccess:
         a = characterize_access(default_cell, VAR, grid, n=64, threads=1)
         b = characterize_access(default_cell, VAR, grid, n=64, threads=4)
         assert a.to_dict() == b.to_dict()
+
+
+# Literal draws, fixed across refactors of the sampling path (thread-count
+# invariance alone cannot catch a shifted block or a swapped stream).
+PINNED = {
+    "access": [
+        "0,0.36510205070696683,,0.0695778144942725,0.11446298742220863,0",
+        "1,0.38533849717039964,,0.07072055985427662,0.09507996391695622,0",
+        "2,0.35271789859099456,,0.06737610779084209,0.12771110031765825,0",
+    ],
+    "write": [
+        "0,0.4216158331542024,0.3346648279646931,,1.8327563719310692e-11,0",
+        "1,0.3956330606715766,0.36574860457265135,,1.412534303467467e-11,0",
+        "2,0.3774968296888926,0.3624079249651603,,1.1862972314172399e-11,0",
+    ],
+    # grid point j=1 at n=30 reads blocks [30, 60): dv[0], dv[1], dv[29],
+    # then that point's mu_delta and sigma_delta
+    "characterize": [
+        "0.12964668164663898", "0.12636704615246028", "0.11047997727881059",
+        "0.3369328967769853", "0.02738269349816267",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_drawn_values_are_pinned(case, default_cell, tmp_path, monkeypatch):
+    if case == "characterize":
+        seen = []
+        estimate = mc.estimate_delta_params
+        monkeypatch.setattr(mc, "estimate_delta_params",
+                            lambda dv: seen.append(dv) or estimate(dv))
+        table = characterize_access(default_cell, VAR, [8e-11, 1.2e-10], n=30)
+        dv = seen[1]
+        assert len(dv) == 30
+        got = [repr(float(x)) for x in
+               (dv[0], dv[1], dv[-1], table.mu_delta[1], table.sigma_delta[1])]
+    else:
+        path = tmp_path / "pinned.csv"
+        if case == "access":
+            run_access_mc(default_cell, VAR, 3, T_READ, export_path=path)
+        else:
+            run_write_mc(default_cell, VAR, 3, 2e-11, export_path=path)
+        got = path.read_text().splitlines()[2:]
+    assert got == PINNED[case]
 
 
 class TestCharacterizeWrite:

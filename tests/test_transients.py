@@ -319,6 +319,14 @@ class TestDeltaVOde:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("oracle", [delta_v_closed, delta_v_ode])
+def test_nan_read_time_rejected(default_cell, oracle):
+    with pytest.raises(DomainError, match="t_read"):
+        oracle(default_cell, 0.38, math.nan)
+    with pytest.raises(DomainError, match="t_read"):
+        oracle(default_cell, np.array([0.38, 0.39]), np.array([1e-10, math.nan]))
+
+
 class TestWriteTimeClosed:
     def test_golden_default_cell(self, default_cell):
         t = write_time_closed(default_cell, default_cell.nmos.vth_nominal)

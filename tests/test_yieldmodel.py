@@ -83,6 +83,9 @@ class TestEstimators:
         samples[17] = 0.0
         with pytest.raises(DomainError, match="sample 17"):
             estimate_delta_params(samples)
+        samples[17] = math.nan
+        with pytest.raises(DomainError, match="sample 17 = nan is not above zero"):
+            estimate_delta_params(samples)
 
     def test_delta_synthetic_round_trip(self):
         rng = np.random.default_rng(20240101)
