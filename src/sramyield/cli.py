@@ -16,15 +16,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .artifacts import bundled_json, parsing, read_json, write_csv, write_json
+from .devices import read_device_json
 from .errors import (
     DegenerateStatisticsError,
     DomainError,
@@ -32,21 +32,15 @@ from .errors import (
     ParseError,
     WorkbenchError,
 )
-from .fitting import (
-    default_init,
-    fit_device,
-    FitOptions,
-    generate_iv_grid,
-    read_iv_csv,
-    write_iv_csv,
-)
-from .devices import DeviceParams, read_device_json, write_device_json
+from .fitting import FitOptions, default_init, fit_device, model_currents, read_iv_csv
 from .mc import (
     VariationSpec,
+    access_samples,
     characterize_access,
     characterize_write,
     run_access_mc,
     run_write_mc,
+    write_samples,
 )
 from .transients import (
     CellConfig,
@@ -60,11 +54,12 @@ from .yieldmodel import (
     OffsetVoltageDist,
     WriteTimeDistribution,
     auto_read_grid,
+    estimate_delta_params,
+    estimate_write_params,
     invert_for_constraint,
     qq_points,
     read_distribution_json,
     relative_error,
-    write_distribution_json,
     write_fail_prob,
     write_qq_csv,
 )
@@ -73,6 +68,10 @@ EXIT_PARSE = 2
 EXIT_FIT = 3
 EXIT_DEGENERATE = 4
 EXIT_DOMAIN = 5
+# Failure class -> exit code, first match wins; an OSError is an unreadable file.
+_EXIT_CODES = {ParseError: EXIT_PARSE, FitConvergenceError: EXIT_FIT,
+               DegenerateStatisticsError: EXIT_DEGENERATE, DomainError: EXIT_DOMAIN,
+               OSError: EXIT_PARSE}
 
 
 class _Logger:
@@ -148,11 +147,7 @@ class Run:
         return p
 
     def write_json(self, name, obj):
-        p = self.out_path(name)
-        with open(p, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return p
+        write_json(self.out_path(name), obj)
 
     def finish(self):
         argv = list(self.args._argv)
@@ -172,9 +167,7 @@ class Run:
         manifest["argv"] = argv
         manifest["digest"] = digest
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-        with open(self.out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.out_dir / "manifest.json", manifest)
         self.log.info("manifest written", digest=digest, outputs=len(out_digests))
         return digest
 
@@ -193,38 +186,21 @@ def _load_inputs(run, args):
 
 def _load_variation(run, path, seed_override):
     if path is None:
-        from importlib import resources
-
-        text = resources.files("sramyield.data").joinpath("default_variation.json").read_text()
-        var = VariationSpec.from_dict(json.loads(text))
+        var = VariationSpec.from_dict(bundled_json("default_variation.json"))
     else:
         run.note_input(path)
-        with open(path) as fh:
-            try:
-                var = VariationSpec.from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"variation JSON {path}: {exc}") from exc
+        var = VariationSpec.from_dict(read_json(path, "variation JSON"))
     if seed_override is not None:
         var = dataclasses.replace(var, seed=seed_override)
     return var
 
 
 def _parse_float_list(text, what):
-    try:
+    with parsing(f"{what} list {text!r}"):
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"cannot parse {what} list {text!r}: {exc}") from exc
     if not values:
         raise ParseError(f"{what} list is empty")
     return values
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -246,15 +222,10 @@ def cmd_fit(args, run, log):
         )
     run.write_json(args.out, report.to_dict())
     if args.emit_iv:
-        from .fitting import model_currents
-
         fitted = model_currents(report.params, data)
-        p = run.out_path(args.emit_iv)
-        with open(p, "w") as fh:
-            fh.write("# manifest: manifest.json\n")
-            fh.write("vgs,vds,ids_data,ids_model\n")
-            for vgs, vds, ids, m in zip(data.vgs, data.vds, data.ids, fitted):
-                fh.write(f"{float(vgs)!r},{float(vds)!r},{float(ids)!r},{float(m)!r}\n")
+        write_csv(run.out_path(args.emit_iv), "vgs,vds,ids_data,ids_model",
+                  (f"{float(vgs)!r},{float(vds)!r},{float(ids)!r},{float(m)!r}\n"
+                   for vgs, vds, ids, m in zip(data.vgs, data.vds, data.ids, fitted)))
     print(
         f"fit converged in {report.iterations} iterations: "
         f"max_rel_error_sat={report.max_rel_error_sat:.4f} "
@@ -315,12 +286,8 @@ def cmd_yield(args, run, log):
             else:
                 pf = dist.ber_at(t, offset)
             rows.append((t, pf))
-    p = run.out_path(args.out)
-    with open(p, "w") as fh:
-        fh.write("# manifest: manifest.json\n")
-        fh.write("constraint,pf_analytical,pf_mc,mc_lo,mc_hi\n")
-        for t, pf in rows:
-            fh.write(f"{t!r},{pf!r},,,\n")
+    write_csv(run.out_path(args.out), "constraint,pf_analytical,pf_mc,mc_lo,mc_hi",
+              (f"{t!r},{pf!r},,,\n" for t, pf in rows))
     for t, pf in rows:
         print(f"constraint {t!r} s -> pf {pf!r}")
 
@@ -351,15 +318,11 @@ def cmd_compare(args, run, log):
         if rel is None:
             log.warning("zero-failure MC row; relative error omitted", constraint=t)
         rows.append((t, pf_a, r, rel))
-    p = run.out_path(args.out)
-    with open(p, "w") as fh:
-        fh.write("# manifest: manifest.json\n")
-        fh.write("constraint,pf_analytical,pf_mc,mc_lo,mc_hi,rel_error,oracle\n")
-        for t, pf_a, r, rel in rows:
-            fh.write(
-                f"{t!r},{pf_a!r},{r.pf!r},{r.ci95[0]!r},{r.ci95[1]!r},"
-                f"{_fmt(rel)},{args.oracle}\n"
-            )
+    write_csv(run.out_path(args.out),
+              "constraint,pf_analytical,pf_mc,mc_lo,mc_hi,rel_error,oracle",
+              (f"{t!r},{pf_a!r},{r.pf!r},{r.ci95[0]!r},{r.ci95[1]!r},"
+               f"{'' if rel is None else repr(float(rel))},{args.oracle}\n"
+               for t, pf_a, r, rel in rows))
     for t, pf_a, r, _ in rows:
         print(f"constraint {t!r}: analytical {pf_a!r} mc {r.pf!r} ci {r.ci95[0]!r}..{r.ci95[1]!r}")
 
@@ -394,20 +357,13 @@ def cmd_sweep(args, run, log):
             raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc
         rows.append((v, t))
     t_ref = rows[0][1]
-    p = run.out_path(args.out)
-    with open(p, "w") as fh:
-        fh.write("# manifest: manifest.json\n")
-        fh.write("axis,value,t_at_target,normalized\n")
-        for v, t in rows:
-            fh.write(f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n")
+    write_csv(run.out_path(args.out), "axis,value,t_at_target,normalized",
+              (f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n" for v, t in rows))
     for v, t in rows:
         print(f"{args.axis}={v!r}: t@pf={args.target!r} is {t!r} s ({t / t_ref!r} of first)")
 
 
 def cmd_qq(args, run, log):
-    from .mc import access_samples, write_samples
-    from .yieldmodel import estimate_delta_params, estimate_write_params
-
     cell, var = _load_inputs(run, args)
     if not 0.0 < args.tail_percent <= 100.0:
         raise ParseError(f"--tail-percent must be in (0, 100], got {args.tail_percent}")
@@ -425,8 +381,7 @@ def cmd_qq(args, run, log):
         tail = "high" if args.tail_percent < 100.0 else None
     points, corr = qq_points(metric, dist, tail=tail,
                              tail_fraction=args.tail_percent / 100.0)
-    p = run.out_path(args.out)
-    write_qq_csv(points, corr, p)
+    write_qq_csv(points, corr, run.out_path(args.out))
     print(f"qq {args.mode}: n={len(points)} pearson_r={corr!r}")
 
 
@@ -569,22 +524,11 @@ def main(argv=None):
     try:
         args.func(args, run, log)
         run.finish()
-    except ParseError as exc:
-        log.warning(str(exc))
+    except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, ParseError):
+            log.warning(str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FitConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except DegenerateStatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     return 0
 
 

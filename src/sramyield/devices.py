@@ -11,17 +11,16 @@ PMOS devices are evaluated with source-referenced magnitudes: callers pass
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 from scipy.constants import k as _BOLTZMANN_J_PER_K
 from scipy.constants import e as _ELEMENTARY_CHARGE_C
 from scipy.constants import zero_Celsius as _ZERO_C_IN_K
 
-from .errors import DomainError, ParseError
+from .artifacts import bundled_json, parsing, read_json, write_json
+from .errors import DomainError, require_finite
 
 # Exponent clamp: far outside the fitted bias domain, keeps exp() finite
 # while preserving monotonicity.
@@ -33,7 +32,7 @@ _POLARITIES = ("nmos", "pmos")
 def thermal_voltage(temperature_c):
     """k_B*T/q in volts for a temperature in degrees Celsius."""
     kelvin = temperature_c + _ZERO_C_IN_K
-    if kelvin <= 0.0:
+    if not kelvin > 0.0:
         raise DomainError(
             f"temperature {temperature_c} C is at or below absolute zero"
         )
@@ -74,6 +73,7 @@ class DeviceParams:
     vgs_max: float = 0.7
 
     def __post_init__(self):
+        require_finite(self, ("i0", "k1", "k2", "dibl", "vth_nominal", "n", "vgs_max"))
         if self.i0 <= 0.0:
             raise DomainError(f"i0 must be positive, got {self.i0}")
         if self.n < 1.0:
@@ -113,7 +113,7 @@ class DeviceParams:
 
     @classmethod
     def from_dict(cls, obj):
-        try:
+        with parsing("device JSON"):
             return cls(
                 i0=float(obj["i0"]),
                 k1=float(obj["k1"]),
@@ -124,8 +124,6 @@ class DeviceParams:
                 polarity=str(obj.get("polarity", "nmos")).lower(),
                 vgs_max=float(obj.get("vgs_max", 0.7)),
             )
-        except KeyError as missing:
-            raise ParseError(f"device JSON is missing key {missing}") from None
 
 
 @dataclass(frozen=True)
@@ -196,22 +194,14 @@ def load_device_table():
 
     Returns a dict keyed by flavor name (e.g. "nch_svt").
     """
-    text = resources.files("sramyield.data").joinpath("device_table.json").read_text()
-    raw = json.loads(text)
+    raw = bundled_json("device_table.json")
     return {name: DeviceParams.from_dict(row) for name, row in raw.items()}
 
 
 def read_device_json(path):
     """Load one DeviceParams from a JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read device JSON {path}: {exc}") from exc
-    return DeviceParams.from_dict(obj)
+    return DeviceParams.from_dict(read_json(path, "device JSON"))
 
 
 def write_device_json(params, path):
-    with open(path, "w") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, params.to_dict())

@@ -1,8 +1,10 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and the finiteness check.
 
 The CLI maps these onto its exit-code contract, so raising the right
 class matters more than the message wording.
 """
+
+import math
 
 
 class WorkbenchError(Exception):
@@ -27,3 +29,10 @@ class DomainError(WorkbenchError, ValueError):
 
 class ModelInapplicableError(DomainError):
     """The closed-form model's assumptions fail for this configuration."""
+
+
+def require_finite(owner, names):
+    """DomainError for the first of `names` that is NaN or infinite on `owner`."""
+    for name in names:
+        if not math.isfinite(getattr(owner, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(owner, name)}")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .devices import DeviceParams, gate_polynomial, thermal_voltage, EXP_ARG_LIMIT
+from .devices import EXP_ARG_LIMIT, DeviceParams, _current_proposed, thermal_voltage
 from .errors import DomainError, ParseError
 
 IV_CSV_HEADER = ("vgs", "vds", "ids", "temp_c")
@@ -168,8 +168,6 @@ def generate_iv_grid(
     `noise_sigma` applies multiplicative log-normal noise; `mismatch_amplitude`
     applies the deterministic smooth warp from mismatch_field.
     """
-    from .devices import _current_proposed
-
     vg, vd = [a.ravel() for a in np.meshgrid(vgs_values, vds_values, indexing="ij")]
     vt = thermal_voltage(temperature_c)
     ids = _current_proposed(params, vg, vd, vt)
@@ -211,8 +209,6 @@ def saturation_mask(data, params):
 
 def error_stats(data, params):
     """(max, mean) relative current error over the saturation region."""
-    from .devices import _current_proposed
-
     mask = saturation_mask(data, params)
     vgs, vds, meas = data.vgs[mask], data.vds[mask], data.ids[mask]
     temp = data.temp_c[mask]
@@ -233,8 +229,6 @@ def error_stats(data, params):
 
 def model_currents(params, data):
     """Full-model currents at every bias point of the dataset."""
-    from .devices import _current_proposed
-
     out = np.empty(data.vgs.shape)
     for t in np.unique(data.temp_c):
         sel = data.temp_c == t

@@ -13,11 +13,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegenerateStatisticsError, DomainError, ParseError
+from .artifacts import parsing, write_csv
+from .errors import DegenerateStatisticsError, DomainError, require_finite
 from .transients import default_write_t_max, delta_v_closed, delta_v_ode, write_time_closed, write_time_ode
 from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
                          estimate_delta_params, estimate_write_params)
@@ -39,6 +41,7 @@ class VariationSpec:
     seed: int
 
     def __post_init__(self):
+        require_finite(self, ("vth_n_mean", "vth_n_sigma", "vth_p_mean", "vth_p_sigma"))
         if not self.vth_n_sigma > 0.0:
             raise DomainError(f"vth_n_sigma must be > 0, got {self.vth_n_sigma}")
         if not self.vth_p_sigma > 0.0:
@@ -59,7 +62,7 @@ class VariationSpec:
 
     @classmethod
     def from_dict(cls, obj):
-        try:
+        with parsing("variation JSON"):
             return cls(
                 vth_n_mean=float(obj["vth_n_mean"]),
                 vth_n_sigma=float(obj["vth_n_sigma"]),
@@ -68,8 +71,6 @@ class VariationSpec:
                 offset=OffsetVoltageDist.from_dict(obj["offset"]),
                 seed=int(obj["seed"]),
             )
-        except KeyError as missing:
-            raise ParseError(f"variation JSON is missing key {missing}") from None
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,8 @@ def _samples(role, cell, var, n, mode, threads, t, base=0):
     write (None picks the default). Returns (vth_n, other, metric) arrays in
     sample-index order; other is v_os for access and vth_p for write.
     """
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if mode not in ("closed", "ode"):
         raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
     closed = mode == "closed"
@@ -213,8 +216,6 @@ def _run_mc(n, what, constraint, sample, fails, other_column, export_path):
     """One timed MC run. `sample()` checks the role's own arguments and returns
     (vth_n, other, metric); `fails(other, metric)` is the role's failure rule;
     the export writes `other` into the CSV column `other_column`."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
     if not math.isfinite(constraint):
         raise DomainError(f"{what} must be finite, got {constraint!r}")
     started = time.perf_counter()
@@ -268,26 +269,12 @@ SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
 
 def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
     """One CSV row per sample; columns not drawn for this mode stay empty."""
-    n = len(vth_n)
+    def cells(values):
+        return repeat("") if values is None else map(repr, map(float, values))
 
-    def col(values, i):
-        if values is None:
-            return ""
-        v = float(values[i])
-        return "inf" if math.isinf(v) else repr(v)
-
-    try:
-        with open(path, "w") as fh:
-            fh.write("# manifest: manifest.json\n")
-            fh.write(SAMPLES_CSV_HEADER + "\n")
-            for i in range(n):
-                m = float(metric[i])
-                fh.write(
-                    f"{i},{repr(float(vth_n[i]))},{col(vth_p, i)},{col(v_os, i)},"
-                    f"{'inf' if math.isinf(m) else repr(m)},{int(fail[i])}\n"
-                )
-    except OSError as exc:
-        raise ParseError(f"cannot write samples CSV {path}: {exc}") from exc
+    rows = zip(cells(vth_n), cells(vth_p), cells(v_os), cells(metric), fail)
+    write_csv(path, SAMPLES_CSV_HEADER,
+              (f"{i},{v},{p},{o},{m},{int(f)}\n" for i, (v, p, o, m, f) in enumerate(rows)))
 
 
 # -- characterization -------------------------------------------------------------

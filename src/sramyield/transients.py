@@ -14,7 +14,6 @@ evaluated lane-by-lane with no cross-lane coupling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,8 @@ from .devices import (
     gate_polynomial,
     thermal_voltage,
 )
-from .errors import DomainError, ModelInapplicableError, ParseError
+from .artifacts import bundled_json, parsing, read_json, write_json
+from .errors import DomainError, ModelInapplicableError, require_finite
 
 TRIP_RATIO_BOUNDS = (0.40, 0.62)
 BOOST_HEADROOM = 0.2
@@ -80,6 +80,9 @@ class CellConfig:
     temperature_c: float = 25.0
 
     def __post_init__(self):
+        if self.v_trip is None:
+            object.__setattr__(self, "v_trip", 0.5 * self.vddc)
+        require_finite(self, ("vdd", "vwl", "vddc", "c_blb", "c_q", "v_trip", "temperature_c"))
         if self.nmos.polarity != "nmos":
             raise DomainError("CellConfig.nmos must have polarity 'nmos'")
         if self.pmos.polarity != "pmos":
@@ -92,8 +95,6 @@ class CellConfig:
             raise DomainError(f"vddc must be positive, got {self.vddc}")
         if self.c_blb <= 0.0 or self.c_q <= 0.0:
             raise DomainError("capacitances must be positive")
-        if self.v_trip is None:
-            object.__setattr__(self, "v_trip", 0.5 * self.vddc)
         if not 0.0 < self.v_trip < self.vddc:
             raise DomainError(f"v_trip must lie in (0, vddc), got {self.v_trip}")
         if self.vwl > self.vdd + BOOST_HEADROOM:
@@ -131,7 +132,7 @@ class CellConfig:
 
             grid = np.linspace(self.v_trip, self.vdd, 1025)
             values = np.array([net_scale(v) for v in grid])
-            if np.min(values) <= 0.0:
+            if not np.min(values) > 0.0:  # NaN too: Simpson never converges on it
                 worst = grid[int(np.argmin(values))]
                 error = (
                     "pull-up overpowers pull-down in the closed write model "
@@ -168,7 +169,7 @@ class CellConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        try:
+        with parsing("cell JSON"):
             return cls(
                 nmos=DeviceParams.from_dict(obj["nmos"]),
                 pmos=DeviceParams.from_dict(obj["pmos"]),
@@ -180,31 +181,19 @@ class CellConfig:
                 v_trip=float(obj["v_trip"]) if obj.get("v_trip") is not None else None,
                 temperature_c=float(obj.get("temperature_c", 25.0)),
             )
-        except KeyError as missing:
-            raise ParseError(f"cell JSON is missing key {missing}") from None
 
 
 def read_cell_json(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read cell JSON {path}: {exc}") from exc
-    return CellConfig.from_dict(obj)
+    return CellConfig.from_dict(read_json(path, "cell JSON"))
 
 
 def write_cell_json(cell, path):
-    with open(path, "w") as fh:
-        json.dump(cell.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, cell.to_dict())
 
 
 def load_default_cell():
     """Bundled desk-scale default cell."""
-    from importlib import resources
-
-    text = resources.files("sramyield.data").joinpath("default_cell.json").read_text()
-    return CellConfig.from_dict(json.loads(text))
+    return CellConfig.from_dict(bundled_json("default_cell.json"))
 
 
 @dataclass(frozen=True)
@@ -216,6 +205,7 @@ class AssistConfig:
     cell_vdd_delta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, ("wl_underdrive", "wl_boost", "cell_vdd_delta"))
         if self.wl_underdrive < 0.0:
             raise DomainError(f"wl_underdrive must be >= 0, got {self.wl_underdrive}")
         if self.wl_boost < 0.0:
@@ -231,11 +221,12 @@ class AssistConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(
-            wl_underdrive=float(obj.get("wl_underdrive", 0.0)),
-            wl_boost=float(obj.get("wl_boost", 0.0)),
-            cell_vdd_delta=float(obj.get("cell_vdd_delta", 0.0)),
-        )
+        with parsing("assist JSON"):
+            return cls(
+                wl_underdrive=float(obj.get("wl_underdrive", 0.0)),
+                wl_boost=float(obj.get("wl_boost", 0.0)),
+                cell_vdd_delta=float(obj.get("cell_vdd_delta", 0.0)),
+            )
 
 
 def apply_assist(base, assist, mode):
@@ -372,8 +363,8 @@ def write_time_ode(cell, vth_n, vth_p, t_max, n_steps=WRITE_ODE_STEPS):
     censored samples: no crossing by t_max, or a pull-up that wins outright
     at the start.
     """
-    if t_max <= 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     vth_n = np.asarray(vth_n, dtype=float)
     vth_p = np.asarray(vth_p, dtype=float)
     n_b, p_b = np.broadcast_arrays(vth_n, vth_p)

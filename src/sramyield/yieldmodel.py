@@ -12,7 +12,6 @@ deficit, so constructors warn below a mu/sigma ratio of 4.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateStatisticsError, DomainError, ParseError
+from .artifacts import parsing, read_json, write_csv, write_json
+from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
+from .transients import delta_v_closed
 
 SINGLE_BRANCH_RATIO = 4.0
 FOUR_SIGMA_PF = 3.17e-5
@@ -52,6 +53,7 @@ class DeltaVDistribution:
     sigma_delta: float
 
     def __post_init__(self):
+        require_finite(self, ("mu_delta", "sigma_delta"))
         _check_moments(self.mu_delta, self.sigma_delta, "DeltaVDistribution")
 
     def to_dict(self):
@@ -64,7 +66,8 @@ class DeltaVDistribution:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(mu_delta=float(obj["mu_delta"]), sigma_delta=float(obj["sigma_delta"]))
+        with parsing("delta distribution JSON"):
+            return cls(mu_delta=float(obj["mu_delta"]), sigma_delta=float(obj["sigma_delta"]))
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,7 @@ class WriteTimeDistribution:
     t0: float = DEFAULT_T0
 
     def __post_init__(self):
+        require_finite(self, ("mu_w", "sigma_w", "t0"))
         if not self.t0 > 0.0:
             raise DomainError(f"t0 must be > 0, got {self.t0}")
         _check_moments(self.mu_w, self.sigma_w, "WriteTimeDistribution")
@@ -91,11 +95,12 @@ class WriteTimeDistribution:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(
-            mu_w=float(obj["mu_w"]),
-            sigma_w=float(obj["sigma_w"]),
-            t0=float(obj.get("t0", DEFAULT_T0)),
-        )
+        with parsing("write distribution JSON"):
+            return cls(
+                mu_w=float(obj["mu_w"]),
+                sigma_w=float(obj["sigma_w"]),
+                t0=float(obj.get("t0", DEFAULT_T0)),
+            )
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,7 @@ class OffsetVoltageDist:
     sigma_vos: float
 
     def __post_init__(self):
+        require_finite(self, ("mu_vos", "sigma_vos"))
         if not self.sigma_vos > 0.0:
             raise DomainError(f"sigma_vos must be > 0, got {self.sigma_vos}")
 
@@ -119,7 +125,8 @@ class OffsetVoltageDist:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(mu_vos=float(obj["mu_vos"]), sigma_vos=float(obj["sigma_vos"]))
+        with parsing("offset JSON"):
+            return cls(mu_vos=float(obj["mu_vos"]), sigma_vos=float(obj["sigma_vos"]))
 
 
 # -- estimation -----------------------------------------------------------------
@@ -285,6 +292,8 @@ class AccessCharacterization:
             raise DomainError("characterization needs at least 1 grid point")
         if t.size != mu.size or t.size != sg.size:
             raise DomainError("characterization columns must have equal length")
+        if not np.isfinite([t, mu, sg]).all():
+            raise DomainError("characterization values must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("t_read grid must be strictly increasing")
         if np.any(~(sg > 0.0)) or np.any(~(mu > 0.0)):
@@ -329,12 +338,13 @@ class AccessCharacterization:
 
     @classmethod
     def from_dict(cls, obj):
-        rows = obj["rows"]
-        return cls(
-            t_read=tuple(float(r["t_read"]) for r in rows),
-            mu_delta=tuple(float(r["mu_delta"]) for r in rows),
-            sigma_delta=tuple(float(r["sigma_delta"]) for r in rows),
-        )
+        with parsing("characterization JSON"):
+            rows = obj["rows"]
+            return cls(
+                t_read=tuple(float(r["t_read"]) for r in rows),
+                mu_delta=tuple(float(r["mu_delta"]) for r in rows),
+                sigma_delta=tuple(float(r["sigma_delta"]) for r in rows),
+            )
 
 
 def invert_for_constraint(dist, target_pf, offset=None):
@@ -381,8 +391,6 @@ def auto_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
     large (around 1e-2) and the high end beyond the 4-sigma target, so
     constraint inversion stays inside the grid.
     """
-    from .transients import delta_v_closed
-
     if points < 2:
         raise DomainError("grid needs at least 2 points")
     nominal = cell.nmos.vth_nominal
@@ -451,12 +459,8 @@ def qq_points(samples, dist, tail=None, tail_fraction=0.01):
 
 
 def write_qq_csv(points, corr, path):
-    with open(path, "w") as fh:
-        fh.write("# manifest: manifest.json\n")
-        fh.write(f"# pearson_r: {corr!r}\n")
-        fh.write("theoretical,empirical\n")
-        for theo, emp in points:
-            fh.write(f"{float(theo)!r},{float(emp)!r}\n")
+    write_csv(path, f"# pearson_r: {corr!r}\ntheoretical,empirical",
+              (f"{float(theo)!r},{float(emp)!r}\n" for theo, emp in points))
 
 
 # -- JSON round trip ---------------------------------------------------------------
@@ -470,18 +474,12 @@ _KINDS = {
 
 
 def write_distribution_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj.to_dict())
 
 
 def read_distribution_json(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read distribution JSON {path}: {exc}") from exc
-    kind = obj.get("kind")
-    if kind not in _KINDS:
+    obj = read_json(path, "distribution JSON")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f"unknown distribution kind {kind!r} in {path}")
     return _KINDS[kind].from_dict(obj)

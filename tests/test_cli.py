@@ -5,6 +5,7 @@ directory; one subprocess test confirms the installed console script wires
 up to the same entry point.
 """
 
+import copy
 import json
 import math
 import subprocess
@@ -22,6 +23,10 @@ from sramyield.yieldmodel import (
 )
 
 BUNDLED_IV = str(resources.files("sramyield.data").joinpath("nch_svt_iv.csv"))
+
+
+def bundled(name):
+    return json.loads(resources.files("sramyield.data").joinpath(name).read_text())
 
 
 def run_cli(out_dir, *argv):
@@ -71,6 +76,9 @@ class TestExitCodes:
         rc = run_cli(tmp_path, "mc", "--mode", "write", "--n", "50",
                      "--t-write", "2e-9", "--oracle", "ode", "--t-max", "1e-9")
         assert rc == EXIT_DOMAIN
+        # an empty sample set is rejected before any statistics are taken
+        assert run_cli(tmp_path, "characterize", "--mode", "access", "--n", "0") == EXIT_DOMAIN
+        assert run_cli(tmp_path, "qq", "--mode", "write", "--n", "0") == EXIT_DOMAIN
 
     def test_unparseable_constraint_list(self, tmp_path, write_char):
         rc = run_cli(tmp_path, "yield", "--characterization", str(write_char),
@@ -93,9 +101,103 @@ class TestExitCodes:
         assert rc == EXIT_DOMAIN
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_mc_rejects_non_finite_horizon(self, tmp_path, capsys, value):
+        rc = run_cli(tmp_path, "mc", "--mode", "write", "--oracle", "ode", "--n", "10",
+                     "--t-write", "1e-11", f"--t-max={value}")
+        assert rc == EXIT_DOMAIN
+        assert "t_max must be positive and finite" in capsys.readouterr().err
+
     def test_mc_needs_deadline(self, tmp_path):
         assert run_cli(tmp_path, "mc", "--mode", "access", "--n", "10") == EXIT_PARSE
         assert run_cli(tmp_path, "mc", "--mode", "write", "--n", "10") == EXIT_PARSE
+
+    @pytest.mark.parametrize("path", [("nmos", "i0"), ("temperature_c",)])
+    def test_nan_cell_constant_exits_promptly(self, tmp_path, path):
+        cell = bundled("default_cell.json")
+        node = cell
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = math.nan
+        cell_json = tmp_path / "cell.json"
+        cell_json.write_text(json.dumps(cell))
+        # a subprocess, so that a NaN that reaches the trip quadrature fails
+        # the test at the timeout instead of hanging the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "sramyield.cli", "--out-dir", str(tmp_path),
+             "characterize", "--mode", "write", "--cell", str(cell_json)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_DOMAIN, proc.stderr
+        assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# JSON inputs of the CLI: (artifact, command reading it, a required key, a
+# float field, an object field; each a key path, () meaning the top level).
+CONTRACT_INPUTS = {
+    "cell": (bundled("default_cell.json"),
+             ["mc", "--mode", "write", "--n", "10", "--t-write", "2e-11", "--cell"],
+             ("pmos", "lambda"), ("vdd",), ("nmos",)),
+    "variation": (bundled("default_variation.json"),
+                  ["mc", "--mode", "access", "--n", "10", "--t-read", "1.2e-10", "--variation"],
+                  ("offset", "sigma_vos"), ("vth_n_mean",), ("offset",)),
+    "write-characterization": (
+        WriteTimeDistribution(mu_w=1.58, sigma_w=0.046).to_dict(),
+        ["yield", "--constraints", "2e-11", "--characterization"],
+        ("sigma_w",), ("mu_w",), ()),
+    "access-characterization": (
+        {"schema": 1, "kind": "access_characterization",
+         "rows": [{"t_read": 1e-10, "mu_delta": 0.28, "sigma_delta": 0.012},
+                  {"t_read": 2e-10, "mu_delta": 0.33, "sigma_delta": 0.011}]},
+        ["yield", "--constraints", "1.5e-10", "--characterization"],
+        ("rows", 0, "mu_delta"), ("rows", 1, "t_read"), ("rows", 0)),
+    "fit-init": (bundled("device_table.json")["nch_svt"],
+                 ["fit", "--iv", BUNDLED_IV, "--init"],
+                 ("lambda",), ("i0",), ()),
+}
+
+
+def _mutated(artifact, mutation, key, field, obj):
+    """Text of the artifact with one defect."""
+    if mutation == "empty-file":
+        return ""
+    art = copy.deepcopy(artifact)
+    path, value = {"drop-key": (key, None), "string-in-float": (field, "abc"),
+                   "nan": (field, math.nan), "int-for-object": (obj, 5),
+                   "top-level-list": ((), [art])}[mutation]
+    if not path:
+        return json.dumps(value)
+    node = art
+    for k in path[:-1]:
+        node = node[k]
+    if mutation == "drop-key":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(art)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("mutation", ["drop-key", "string-in-float", "int-for-object",
+                                          "top-level-list", "empty-file", "nan"])
+    @pytest.mark.parametrize("name", list(CONTRACT_INPUTS))
+    def test_malformed_json_input(self, tmp_path, capsys, name, mutation):
+        artifact, argv, key, field, obj = CONTRACT_INPUTS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(_mutated(artifact, mutation, key, field, obj))
+        rc = run_cli(tmp_path / "out", *argv, str(path))
+        err = capsys.readouterr().err
+        assert rc == (EXIT_DOMAIN if mutation == "nan" else EXIT_PARSE), err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+        if mutation == "drop-key":
+            assert f"missing key '{key[-1]}'" in err
+
+    def test_unmodified_inputs_pass(self, tmp_path):
+        for name, (artifact, argv, *_) in CONTRACT_INPUTS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(artifact))
+            assert run_cli(tmp_path / name, *argv, str(path)) == 0, name
 
 
 class TestFit:

@@ -220,6 +220,13 @@ class TestParameterValidation:
             DeviceParams(i0=1e-6, k1=0.4, k2=-0.01, dibl=0.02, vth_nominal=0.35,
                          polarity="finfet")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["i0", "k1", "k2", "dibl", "vth_nominal", "n", "vgs_max"])
+    def test_rejects_non_finite_constant(self, field, value):
+        good = dict(i0=1e-6, k1=0.4, k2=-0.01, dibl=0.02, vth_nominal=0.35)
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            DeviceParams(**{**good, field: value})
+
     def test_negative_dibl_is_allowed(self, device_table):
         assert device_table["nch_svt"].dibl < 0.0
 

@@ -128,6 +128,14 @@ class TestCellConfig:
     def test_load_default_cell_is_stable(self, default_cell):
         assert load_default_cell().to_dict() == default_cell.to_dict()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["vdd", "vwl", "vddc", "c_blb", "c_q", "v_trip", "temperature_c"])
+    def test_non_finite_field_rejected(self, default_cell, field, value):
+        # unchecked, a NaN temperature keeps the trip-integral quadrature from converging
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            dataclasses.replace(default_cell, **{field: value})
+
     def test_overpowered_pullup_defers_error(self, quiet_nmos):
         # Construction succeeds; only the closed write path is unusable.
         cell = make_cell(quiet_nmos, pmos=weak_pmos(i0=1e-4))
