@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -410,7 +411,13 @@ def cmd_mc(args, run, log):
 
 # -- parser -------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The `sramyield` argument parser, built once per process.
+
+    Parsing does not change the parser, so every main() call shares it;
+    building one per call costs about 2 ms and grows the heap.
+    """
     top = argparse.ArgumentParser(
         prog="sramyield",
         description="SRAM timing-yield workbench: fit, characterize, analyze, verify.",

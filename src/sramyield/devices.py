@@ -135,6 +135,7 @@ class OperatingPoint:
     temperature_c: float = 25.0
 
     def __post_init__(self):
+        require_finite(self, ("vgs", "vds", "temperature_c"))
         if self.vgs < 0.0:
             raise DomainError(f"vgs must be >= 0 (magnitude convention), got {self.vgs}")
         if self.vds < 0.0:

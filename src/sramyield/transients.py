@@ -3,10 +3,13 @@
 Two quantities drive the timing-yield statistics: the bitline differential
 reached by the read deadline, and the minimum time for a write to pull the
 storage node below the opposing inverter's trip point. Each comes in two
-flavors: a closed form derived from the exponential current model, and a
-fixed-step RK4 integration of the full model that serves as the brute-force
-reference. Fixed stepping keeps results bit-identical across platforms and
-thread counts.
+flavors: a closed form derived from the exponential current model, and the
+exact solution of the full model's transient (the `ode` oracle) that serves
+as the reference. The full-model ODEs separate because a sampled threshold
+enters each current only through exp(p): every read lane runs along one
+shared trajectory in scaled time, and every write time is a 1-D integral.
+Their quadrature tables depend only on the cell, so results are identical
+across runs and thread counts.
 
 All vth arguments are per-sample threshold voltages; vectorized inputs are
 evaluated lane-by-lane with no cross-lane coupling.
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .devices import (
     EXP_ARG_LIMIT,
@@ -31,9 +36,31 @@ from .errors import DomainError, ModelInapplicableError, require_finite
 
 TRIP_RATIO_BOUNDS = (0.40, 0.62)
 BOOST_HEADROOM = 0.2
-DELTA_V_ODE_STEPS = 4096
-WRITE_ODE_STEPS = 8192
 _SIMPSON_REL_TOL = 1e-10
+_READ_PANELS = 512  # s = vdd - dv from vdd down to vdd * 2**-52, geometric
+_NEWTON_STEPS = 3
+_WRITE_PANELS = 8  # per segment of the write path
+_WRITE_GRADING = 10  # panels halving towards v*, per side
+_WRITE_REL_TOL = 1e-12
+
+
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    Newton steps on the Legendre polynomial from its asymptotic roots; an
+    eigenvalue solver would pull LAPACK workspace into every process.
+    """
+    x = np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones(order), x
+        for k in range(2, order + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = order * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+_GAUSS = {order: _gauss_legendre(order) for order in (8, 16)}
 
 
 def _adaptive_simpson(f, a, b, rel_tol):
@@ -119,10 +146,28 @@ class CellConfig:
         beta0 = math.exp(min(max(p_p0 - p_n0, -EXP_ARG_LIMIT), EXP_ARG_LIMIT))
         object.__setattr__(self, "beta0", beta0)
 
+        with np.errstate(over="ignore"):
+            grid = np.linspace(self.v_trip, self.vdd, 1025)
+            pull_down = nm.i0 * np.exp(nm.dibl * grid / (nm.n * vt))
+            pull_up = beta0 * pm.i0 * np.exp(pm.dibl * (self.vddc - grid) / (pm.n * vt))
+        for name, dev, values in (("nmos", nm, pull_down), ("pmos", pm, pull_up)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(
+                    f"{name} drain-bias factor i0*exp(lambda*vds/(n*vt)) overflows "
+                    f"(i0 = {dev.i0!r}, lambda = {dev.dibl!r})"
+                )
+
+        net = pull_down - pull_up
         error = None
         w_trip = None
         if self.v_trip >= self.vdd:
             error = f"v_trip {self.v_trip} is not below the write start voltage vdd {self.vdd}"
+        elif not np.min(net) > 0.0:
+            worst = grid[int(np.argmin(net))]
+            error = (
+                "pull-up overpowers pull-down in the closed write model "
+                f"near v_q = {worst:.4f} V; closed write times are undefined"
+            )
         else:
 
             def net_scale(v):
@@ -130,18 +175,9 @@ class CellConfig:
                 pull_up = beta0 * pm.i0 * math.exp(pm.dibl * (self.vddc - v) / (pm.n * vt))
                 return pull_down - pull_up
 
-            grid = np.linspace(self.v_trip, self.vdd, 1025)
-            values = np.array([net_scale(v) for v in grid])
-            if not np.min(values) > 0.0:  # NaN too: Simpson never converges on it
-                worst = grid[int(np.argmin(values))]
-                error = (
-                    "pull-up overpowers pull-down in the closed write model "
-                    f"near v_q = {worst:.4f} V; closed write times are undefined"
-                )
-            else:
-                w_trip = _adaptive_simpson(
-                    lambda v: 1.0 / net_scale(v), self.v_trip, self.vdd, _SIMPSON_REL_TOL
-                )
+            w_trip = _adaptive_simpson(
+                lambda v: 1.0 / net_scale(v), self.v_trip, self.vdd, _SIMPSON_REL_TOL
+            )
         object.__setattr__(self, "_w_trip", w_trip)
         object.__setattr__(self, "_write_error", error)
 
@@ -302,34 +338,48 @@ def delta_v_linearized(cell, vth_n, t_read, p0=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def delta_v_ode(cell, vth_n, t_read, n_steps=DELTA_V_ODE_STEPS):
-    """Bitline differential by RK4 on the full current model.
+def _gauss_integral(f, lo, hi):
+    """Lane-wise integral of f over [lo, hi] by 8-point Gauss-Legendre."""
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    acc = 0.0
+    for x, w in zip(*_GAUSS[8]):
+        acc = acc + w * f(mid + half * x)
+    return half * acc
 
-    Keeps the drain factor the closed form drops; fixed step t_read/n_steps.
-    Fully discharged bitlines return vdd.
+
+def delta_v_ode(cell, vth_n, t_read):
+    """Bitline differential of the full current model, solved exactly.
+
+    Keeps the drain factor the closed form drops. The sampled threshold
+    enters the current only through exp(p), so every lane follows one
+    trajectory in the scaled time tau = exp(p)*t/c_blb: with s = vdd - dv,
+    tau = F(s), the integral of du/h(u) from s to vdd, h being the current
+    at p = 0. F is tabulated once per call on panels geometric in s (F
+    diverges logarithmically at full discharge) down to one ulp of vdd; each
+    lane finds its panel by bisection and solves F(s) = tau by Newton steps
+    with the exact slope -1/h(s). A tau past the table returns vdd.
     """
     vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t_read must be >= 0")
-    vth_b, t_b = np.broadcast_arrays(vth_n, t)
-    shape = vth_b.shape
     nm = cell.nmos
     vt = thermal_voltage(cell.temperature_c)
-    dt = t_b / n_steps
+    p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    tau = np.exp(p) * t / cell.c_blb
 
-    def slope(dv):
-        vds = np.clip(cell.vdd - dv, 0.0, None)
-        return _current_proposed(nm, cell.vwl, vds, vt, vth_b) / cell.c_blb
+    def inv_drive(s):  # vth = vwl makes the gate polynomial exactly 0
+        return 1.0 / _current_proposed(nm, cell.vwl, s, vt, cell.vwl)
 
-    dv = np.zeros(shape)
-    for _ in range(n_steps):
-        k1 = slope(dv)
-        k2 = slope(dv + 0.5 * dt * k1)
-        k3 = slope(dv + 0.5 * dt * k2)
-        k4 = slope(dv + dt * k3)
-        dv = dv + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        dv = np.minimum(dv, cell.vdd)
+    edges = cell.vdd * np.exp2(np.linspace(0.0, -52.0, _READ_PANELS + 1))
+    table = np.concatenate(([0.0], np.cumsum(_gauss_integral(inv_drive, edges[1:], edges[:-1]))))
+    k = np.minimum(np.searchsorted(table, tau, side="right") - 1, _READ_PANELS - 1)
+    hi, lo = edges[k], edges[k + 1]
+    s = hi - (tau - table[k]) / (table[k + 1] - table[k]) * (hi - lo)
+    for _ in range(_NEWTON_STEPS):
+        residual = table[k] + _gauss_integral(inv_drive, s, hi) - tau
+        s = np.clip(s + residual / inv_drive(s), lo, hi)
+    dv = np.where(tau >= table[-1], cell.vdd, cell.vdd - s)
     return float(dv) if dv.ndim == 0 else dv
 
 
@@ -355,50 +405,94 @@ def write_time_closed(cell, vth_n):
     return float(t) if np.ndim(t) == 0 else t
 
 
-def write_time_ode(cell, vth_n, vth_p, t_max, n_steps=WRITE_ODE_STEPS):
-    """First crossing of v_trip by the written node, RK4 plus interpolation.
+def _write_edges(cell, cuts, v_star):
+    """Panel edges on the write path [v_trip, vdd].
 
-    Integrates the fight between the access pull-down (sampled vth_n) and the
-    cell pull-up (sampled vth_p) from v_q = vdd. Returns math.inf for
-    censored samples: no crossing by t_max, or a pull-up that wins outright
-    at the start.
+    _WRITE_PANELS equal panels between consecutive cuts (vddc, the kink of
+    h_p, and v*), plus edges halving their distance to v*, where the
+    integrand of a lane near r_crit peaks.
+    """
+    ends = [cell.v_trip, *sorted(cuts), cell.vdd]
+    width = (cell.vdd - cell.v_trip) / _WRITE_PANELS
+    graded = v_star + np.outer(width * np.exp2(-np.arange(1, _WRITE_GRADING + 1)), [-1.0, 1.0])
+    edges = np.unique(np.concatenate(
+        [np.linspace(a, b, _WRITE_PANELS + 1) for a, b in zip(ends[:-1], ends[1:])]
+        + [graded.ravel()]))
+    return edges[(edges >= cell.v_trip) & (edges <= cell.vdd)]
+
+
+def write_time_ode(cell, vth_n, vth_p, t_max):
+    """First crossing of v_trip by the written node, full current model, exact.
+
+    From v_q = vdd the node falls at (i_m2 - i_m4)/c_q. Each current is
+    exp(p) times its value at p = 0 (h_n, h_p), so the crossing time
+    separates: t = c_q*exp(-p_n) * integral over [v_trip, vdd] of
+    dv / (h_n(v) - r*h_p(v)) with r = exp(p_p - p_n). h_p has a kink at
+    vddc, so the path is split there. Returns math.inf for censored samples:
+    r >= r_crit = min h_n/h_p on the path (the pull-up holds the node above
+    v_trip for ever, or wins outright at the start), or a crossing after
+    t_max. Each lane compares 8- and 16-node composite rules; lanes close to
+    r_crit, whose integrand peaks, fall back to adaptive quadrature.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    vth_n = np.asarray(vth_n, dtype=float)
-    vth_p = np.asarray(vth_p, dtype=float)
-    n_b, p_b = np.broadcast_arrays(vth_n, vth_p)
-    shape = n_b.shape
+    n_b, p_b = np.broadcast_arrays(np.asarray(vth_n, dtype=float),
+                                   np.asarray(vth_p, dtype=float))
     nm, pm = cell.nmos, cell.pmos
     vt = thermal_voltage(cell.temperature_c)
-    dt = t_max / n_steps
+    p_n = np.clip(gate_polynomial(nm, cell.vwl, vt, n_b.ravel()), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    p_p = np.clip(gate_polynomial(pm, cell.vddc, vt, p_b.ravel()), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    r = np.exp(p_p - p_n)
 
-    def slope(vq):
-        i_m2 = _current_proposed(nm, cell.vwl, np.clip(vq, 0.0, None), vt, n_b)
-        i_m4 = _current_proposed(pm, cell.vddc, np.clip(cell.vddc - vq, 0.0, None), vt, p_b)
-        return (i_m4 - i_m2) / cell.c_q
+    def drives(v):  # (h_n, h_p); vth = vgs makes each gate polynomial exactly 0
+        vds_p = np.clip(cell.vddc - v, 0.0, None)
+        return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl),
+                _current_proposed(pm, cell.vddc, vds_p, vt, cell.vddc))
 
-    vq = np.full(shape, float(cell.vdd))
-    t_cross = np.full(shape, np.inf)
-    crossed = slope(vq) >= 0.0  # pull-up wins outright: censored immediately
-    for k in range(n_steps):
-        if np.all(crossed):
-            break
-        k1 = slope(vq)
-        k2 = slope(vq + 0.5 * dt * k1)
-        k3 = slope(vq + 0.5 * dt * k2)
-        k4 = slope(vq + dt * k3)
-        vq_next = vq + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        hit = ~crossed & (vq > cell.v_trip) & (vq_next <= cell.v_trip)
-        if np.any(hit):
-            drop = np.where(hit, vq - vq_next, 1.0)  # hit rows always have drop > 0
-            frac = (vq - cell.v_trip) / drop
-            t_cross = np.where(hit, (k + frac) * dt, t_cross)
-            crossed = crossed | hit
-        vq = vq_next
-    if np.ndim(t_cross) == 0:
-        return float(t_cross)
-    return t_cross
+    def integrand(v, ratio):
+        h_n, h_p = drives(v)
+        return 1.0 / (h_n - ratio * h_p)
+
+    r_crit, v_star = _critical_ratio(cell, drives)
+    live = r < r_crit
+    r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
+    cuts = [v for v in (cell.vddc, v_star) if cell.v_trip < v < cell.vdd]
+    edges = _write_edges(cell, cuts, v_star)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    sums = []
+    for order in (8, 16):
+        x, w = _GAUSS[order]
+        h_n, h_p = drives(np.ravel(mid[:, None] + half[:, None] * x))
+        w = np.ravel(half[:, None] * w)
+        acc = np.zeros(r.shape)
+        for wk, nk, pk in zip(w, h_n, h_p):
+            acc += wk / (nk - r_live * pk)
+        sums.append(acc)
+    coarse, total = sums
+    for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
+        total[i] = quad(integrand, cell.v_trip, cell.vdd, args=(r[i],), points=cuts or None,
+                        epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200)[0]
+    t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
+    t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
+    return float(t) if t.ndim == 0 else t
+
+
+def _critical_ratio(cell, drives):
+    """(r_crit, v*): the minimum of h_n/h_p on the write path and where it is.
+
+    A grid minimum only bounds r_crit from above, so the grid argmin is
+    refined by a bounded scalar minimisation over its neighbouring cells.
+    """
+    grid = np.linspace(cell.v_trip, min(cell.vdd, cell.vddc), 1025)
+    with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
+        ratio = np.divide(*drives(grid))
+    i = int(np.argmin(ratio))
+    best = minimize_scalar(lambda v: float(np.divide(*drives(v))), method="bounded",
+                           bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                           options={"xatol": 1e-15})
+    if best.fun < ratio[i]:
+        return best.fun, best.x
+    return ratio[i], grid[i]
 
 
 def default_write_t_max(cell, factor=100.0):

@@ -33,7 +33,7 @@ GOLDEN_IDS_CLASSIC = 0.01471022559551356
 
 
 def test_thermal_voltage_at_25c_matches_codata():
-    assert thermal_voltage(25.0) == pytest.approx(VT_25C, rel=1e-15)
+    assert thermal_voltage(25.0) == pytest.approx(VT_25C, rel=1e-15, abs=0)
 
 
 def test_thermal_voltage_is_roughly_25mv_at_room_temperature():
@@ -76,7 +76,7 @@ class TestProposedModel:
     def test_golden_point(self, device_table):
         op = OperatingPoint(temperature_c=25.0, **GOLDEN_BIAS)
         got = ids_proposed(device_table["nch_svt"], op)
-        assert got == pytest.approx(GOLDEN_IDS_PROPOSED, rel=1e-13)
+        assert got == pytest.approx(GOLDEN_IDS_PROPOSED, rel=1e-13, abs=0)
 
     def test_zero_vds_gives_exactly_zero_for_every_flavor(self, device_table):
         for params in device_table.values():
@@ -130,8 +130,8 @@ class TestBaselines:
     def test_classic_golden_point_differs_from_proposed(self, device_table):
         op = OperatingPoint(**GOLDEN_BIAS)
         classic = ids_classic(device_table["nch_svt"], op)
-        assert classic == pytest.approx(GOLDEN_IDS_CLASSIC, rel=1e-13)
-        assert classic != pytest.approx(GOLDEN_IDS_PROPOSED, rel=0.5)
+        assert classic == pytest.approx(GOLDEN_IDS_CLASSIC, rel=1e-13, abs=0)
+        assert classic != pytest.approx(GOLDEN_IDS_PROPOSED, rel=0.5, abs=0)
 
     def test_classic_zero_vds_gives_zero(self, device_table):
         assert ids_classic(device_table["pch_lvt"], OperatingPoint(vgs=0.5, vds=0.0)) == 0.0
@@ -139,12 +139,12 @@ class TestBaselines:
     def test_classic_approaches_i0_at_threshold_bias(self):
         params = DeviceParams(i0=1e-6, k1=0.4, k2=-0.01, dibl=0.0, vth_nominal=0.35)
         got = ids_classic(params, OperatingPoint(vgs=0.35, vds=0.5))
-        assert got == pytest.approx(params.i0, rel=1e-8)
+        assert got == pytest.approx(params.i0, rel=1e-8, abs=0)
 
     def test_transregional_golden_point(self, device_table):
         op = OperatingPoint(**GOLDEN_BIAS)
         got = ids_transregional(device_table["nch_svt"], op)
-        assert got == pytest.approx(GOLDEN_IDS_TRANSREGIONAL, rel=1e-13)
+        assert got == pytest.approx(GOLDEN_IDS_TRANSREGIONAL, rel=1e-13, abs=0)
 
     def test_transregional_zero_vds_gives_zero(self, device_table):
         assert ids_transregional(device_table["nch_svt"], OperatingPoint(vgs=0.6, vds=0.0)) == 0.0
@@ -156,7 +156,7 @@ class TestBaselines:
             op = OperatingPoint(vgs=0.6, vds=vds)
             ratio = ids_proposed(params, op) / ids_transregional(params, op)
             expected = math.exp(params.dibl * vds / (params.n * thermal_voltage(25.0)))
-            assert ratio == pytest.approx(expected, rel=1e-15)
+            assert ratio == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @st.composite
@@ -244,6 +244,13 @@ class TestOperatingPoint:
     def test_rejects_temperature_below_absolute_zero(self):
         with pytest.raises(DomainError):
             OperatingPoint(vgs=0.5, vds=0.5, temperature_c=-280.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["vgs", "vds", "temperature_c"])
+    def test_rejects_non_finite_bias(self, field, value):
+        bias = dict(vgs=0.5, vds=0.1, temperature_c=25.0)
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            OperatingPoint(**{**bias, field: value})
 
 
 class TestSerialization:

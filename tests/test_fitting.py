@@ -164,8 +164,8 @@ class TestErrorStats:
         data = make_grid(lvt)
         scaled = IVDataset(data.vgs, data.vds, data.ids / 1.12, data.temp_c)
         max_err, avg_err = error_stats(scaled, lvt)
-        assert max_err == pytest.approx(0.12, rel=1e-12)
-        assert avg_err == pytest.approx(0.12, rel=1e-12)
+        assert max_err == pytest.approx(0.12, rel=1e-12, abs=0)
+        assert avg_err == pytest.approx(0.12, rel=1e-12, abs=0)
 
     def test_zero_current_points_excluded_with_warning(self, device_table):
         lvt = device_table["nch_lvt"]
@@ -195,7 +195,7 @@ class TestFitDevice:
         for field in ("i0", "k1", "k2", "dibl"):
             got = getattr(report.params, field)
             want = getattr(lvt, field)
-            assert got == pytest.approx(want, rel=1e-6), field
+            assert got == pytest.approx(want, rel=1e-6, abs=0), field
 
     def test_noisy_round_trip_within_pinned_bound(self, device_table):
         lvt = device_table["nch_lvt"]
@@ -225,7 +225,7 @@ class TestFitDevice:
         base = fit_device(data, init=perturbed_init(lvt)).params
         scaled_data = IVDataset(data.vgs, data.vds, data.ids * 3.7, data.temp_c)
         scaled = fit_device(scaled_data, init=perturbed_init(lvt)).params
-        assert scaled.i0 / base.i0 == pytest.approx(3.7, rel=1e-6)
+        assert scaled.i0 / base.i0 == pytest.approx(3.7, rel=1e-6, abs=0)
         assert scaled.k1 == pytest.approx(base.k1, abs=1e-6)
         assert scaled.k2 == pytest.approx(base.k2, abs=1e-6)
         assert scaled.dibl == pytest.approx(base.dibl, abs=1e-6)
@@ -258,7 +258,7 @@ class TestFitDevice:
         init = dataclasses.replace(perturbed_init(lvt), n=1.3)
         report = fit_device(data, init=init, options=FitOptions(fit_n=True))
         assert report.converged
-        assert report.params.n == pytest.approx(lvt.n, rel=1e-3)
+        assert report.params.n == pytest.approx(lvt.n, rel=1e-3, abs=0)
 
 
 class TestHelpers:
@@ -266,7 +266,7 @@ class TestHelpers:
         data = make_grid(device_table["nch_svt"])
         init = default_init(data, vth_nominal=0.35)
         top = data.vds == np.max(data.vds)
-        assert init.i0 == pytest.approx(float(np.median(data.ids[top])))
+        assert init.i0 == pytest.approx(float(np.median(data.ids[top])), abs=0)
         assert (init.k1, init.k2, init.dibl) == (0.3, -0.01, 0.02)
 
     def test_mismatch_field_amplitude_bound(self):

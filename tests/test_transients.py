@@ -8,18 +8,21 @@ suite existed; the implementation has to land on them, not the reverse.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from sramyield.devices import DeviceParams, gate_polynomial, thermal_voltage
+from sramyield.devices import DeviceParams, _current_proposed, gate_polynomial, thermal_voltage
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
 from sramyield.transients import (
     AssistConfig,
     CellConfig,
+    _critical_ratio,
     apply_assist,
     default_write_t_max,
     delta_v_closed,
@@ -32,14 +35,17 @@ from sramyield.transients import (
     write_time_ode,
 )
 
+from rk4_reference import delta_v_rk4, write_time_rk4
+from test_acceptance import draw_write_config
+
 # Independent-oracle goldens, default desk cell at nominal thresholds.
 DEFAULT_T_READ = 1.11e-10
 DEFAULT_DV_CLOSED = 0.09992827546439512
 DEFAULT_DV_ODE = 0.09988636793057157
 DEFAULT_WRITE_CLOSED = 1.2147935852184221e-11
 DEFAULT_WRITE_ODE_TRUTH = 1.0315710876791450e-11  # adaptive high-order integration
-DEFAULT_WRITE_ODE_RK4 = 1.0315844561413406e-11  # this package's fixed-step result
-DEFAULT_WRITE_GAP = 0.17759973794330428  # closed vs RK4, regression-pinned
+DEFAULT_WRITE_ODE_RK4 = 1.0315844561413406e-11  # the RK4 reference's fixed-step result
+DEFAULT_WRITE_GAP = 0.1776149988378435  # closed vs exact, regression-pinned
 
 # Same read golden for the shallow bundled flavor (large drain-factor gap).
 SVT_T_READ = 1.34e-10
@@ -102,7 +108,7 @@ class TestCellConfig:
         vt = thermal_voltage(default_cell.temperature_c)
         p_n0 = gate_polynomial(default_cell.nmos, default_cell.vwl, vt)
         p_p0 = gate_polynomial(default_cell.pmos, default_cell.vddc, vt)
-        assert default_cell.beta0 == pytest.approx(math.exp(p_p0 - p_n0), rel=1e-15)
+        assert default_cell.beta0 == pytest.approx(math.exp(p_p0 - p_n0), rel=1e-15, abs=0)
 
     def test_dict_round_trip(self, default_cell):
         clone = CellConfig.from_dict(default_cell.to_dict())
@@ -170,12 +176,12 @@ class TestAssist:
 
     def test_supply_delta_sign_filtering(self, default_cell):
         assist = AssistConfig(cell_vdd_delta=0.05)
-        assert apply_assist(default_cell, assist, "read").vddc == pytest.approx(0.55)
+        assert apply_assist(default_cell, assist, "read").vddc == pytest.approx(0.55, abs=0)
         # a positive delta is a read-side boost only; writes ignore it
-        assert apply_assist(default_cell, assist, "write").vddc == pytest.approx(0.5)
+        assert apply_assist(default_cell, assist, "write").vddc == pytest.approx(0.5, abs=0)
         collapse = AssistConfig(cell_vdd_delta=-0.04)
-        assert apply_assist(default_cell, collapse, "write").vddc == pytest.approx(0.46)
-        assert apply_assist(default_cell, collapse, "read").vddc == pytest.approx(0.5)
+        assert apply_assist(default_cell, collapse, "write").vddc == pytest.approx(0.46, abs=0)
+        assert apply_assist(default_cell, collapse, "read").vddc == pytest.approx(0.5, abs=0)
 
     def test_error_paths(self, default_cell):
         with pytest.raises(DomainError, match="below ground"):
@@ -209,11 +215,11 @@ class TestDeltaVClosed:
 
     def test_golden_default_cell(self, default_cell):
         dv = delta_v_closed(default_cell, default_cell.nmos.vth_nominal, DEFAULT_T_READ)
-        assert dv == pytest.approx(DEFAULT_DV_CLOSED, rel=1e-12)
+        assert dv == pytest.approx(DEFAULT_DV_CLOSED, rel=1e-12, abs=0)
 
     def test_golden_svt_cell(self, svt_read_cell):
         dv = delta_v_closed(svt_read_cell, svt_read_cell.nmos.vth_nominal, SVT_T_READ)
-        assert dv == pytest.approx(SVT_DV_CLOSED, rel=1e-12)
+        assert dv == pytest.approx(SVT_DV_CLOSED, rel=1e-12, abs=0)
 
     def test_doubling_time_grows_dv(self, default_cell):
         dv1 = delta_v_closed(default_cell, 0.38, DEFAULT_T_READ)
@@ -235,7 +241,7 @@ class TestDeltaVClosed:
         p = gate_polynomial(nm, cell.vwl, vt, 0.40)
         t = 2e-11
         expect = nm.i0 * math.exp(p) * t / cell.c_blb
-        assert delta_v_closed(cell, 0.40, t) == pytest.approx(expect, rel=1e-14)
+        assert delta_v_closed(cell, 0.40, t) == pytest.approx(expect, rel=1e-14, abs=0)
         # and the ramp still clamps
         assert delta_v_closed(cell, 0.40, 1.0) == cell.vdd
 
@@ -256,7 +262,7 @@ class TestDeltaVClosed:
             dv_root = brentq(
                 lambda dv: elapsed(dv) - t, 0.0, default_cell.vdd, xtol=1e-15
             )
-            assert dv_closed == pytest.approx(dv_root, rel=1e-9)
+            assert dv_closed == pytest.approx(dv_root, rel=1e-9, abs=0)
 
     def test_array_shapes(self, default_cell):
         t = np.array([0.0, DEFAULT_T_READ, 2 * DEFAULT_T_READ])
@@ -270,7 +276,7 @@ class TestDeltaVLinearized:
     def test_equals_closed_at_nominal(self, default_cell):
         vth0 = default_cell.nmos.vth_nominal
         lin = delta_v_linearized(default_cell, vth0, DEFAULT_T_READ)
-        assert lin == pytest.approx(DEFAULT_DV_CLOSED, rel=1e-12)
+        assert lin == pytest.approx(DEFAULT_DV_CLOSED, rel=1e-12, abs=0)
 
     def test_additive_term_is_sample_free(self, default_cell):
         nm = default_cell.nmos
@@ -295,11 +301,11 @@ class TestDeltaVOde:
 
     def test_golden_default_cell(self, default_cell):
         dv = delta_v_ode(default_cell, default_cell.nmos.vth_nominal, DEFAULT_T_READ)
-        assert dv == pytest.approx(DEFAULT_DV_ODE, rel=1e-12)
+        assert dv == pytest.approx(DEFAULT_DV_ODE, rel=1e-12, abs=0)
 
     def test_golden_svt_cell(self, svt_read_cell):
         dv = delta_v_ode(svt_read_cell, svt_read_cell.nmos.vth_nominal, SVT_T_READ)
-        assert dv == pytest.approx(SVT_DV_ODE, rel=1e-12)
+        assert dv == pytest.approx(SVT_DV_ODE, rel=1e-12, abs=0)
 
     def test_closed_gap_small_on_steep_flavor(self, default_cell):
         # The dropped drain factor costs ~0.04% here but ~9% on the shallow
@@ -308,9 +314,20 @@ class TestDeltaVOde:
         assert gap < 5e-4
 
     def test_step_halving_converges(self, default_cell):
-        a = delta_v_ode(default_cell, 0.38, DEFAULT_T_READ, n_steps=4096)
-        b = delta_v_ode(default_cell, 0.38, DEFAULT_T_READ, n_steps=8192)
+        a = delta_v_rk4(default_cell, 0.38, DEFAULT_T_READ, n_steps=4096)
+        b = delta_v_rk4(default_cell, 0.38, DEFAULT_T_READ, n_steps=8192)
         assert abs(a - b) / b < 1e-9
+
+    @pytest.mark.parametrize("cell_name,t_read", [("default_cell", DEFAULT_T_READ),
+                                                  ("svt_read_cell", SVT_T_READ)])
+    def test_matches_rk4_reference(self, request, cell_name, t_read):
+        cell = request.getfixturevalue(cell_name)
+        grid = np.linspace(0.30, 0.46, 17)
+        for t in (0.1 * t_read, t_read, 10.0 * t_read):
+            exact = delta_v_ode(cell, grid, t)
+            assert np.max(np.abs(exact - delta_v_rk4(cell, grid, t)) / exact) < 1e-9
+            # each lane is independent of the others in its call
+            assert [delta_v_ode(cell, float(v), t) for v in grid] == list(exact)
 
     def test_full_discharge_returns_vdd(self, default_cell):
         assert delta_v_ode(default_cell, 0.30, 1e-7) == default_cell.vdd
@@ -338,7 +355,7 @@ def test_nan_read_time_rejected(default_cell, oracle):
 class TestWriteTimeClosed:
     def test_golden_default_cell(self, default_cell):
         t = write_time_closed(default_cell, default_cell.nmos.vth_nominal)
-        assert t == pytest.approx(DEFAULT_WRITE_CLOSED, rel=1e-9)
+        assert t == pytest.approx(DEFAULT_WRITE_CLOSED, rel=1e-9, abs=0)
 
     @given(
         vth_a=st.floats(0.25, 0.55),
@@ -355,7 +372,7 @@ class TestWriteTimeClosed:
         p_b = gate_polynomial(cell.nmos, cell.vwl, vt, vth_b)
         t_a = write_time_closed(cell, vth_a)
         t_b = write_time_closed(cell, vth_b)
-        assert t_b == pytest.approx(t_a * math.exp(p_a - p_b), rel=1e-12)
+        assert t_b == pytest.approx(t_a * math.exp(p_a - p_b), rel=1e-12, abs=0)
 
     def test_trip_near_start_voltage_shrinks_time(self, quiet_nmos):
         # With vddc raised, v_trip can legally sit just under the write start
@@ -388,7 +405,15 @@ class TestWriteTimeOde:
             default_cell, default_cell.nmos.vth_nominal,
             default_cell.pmos.vth_nominal, t_max,
         )
-        assert t == pytest.approx(DEFAULT_WRITE_ODE_RK4, rel=1e-12)
+        assert t == pytest.approx(DEFAULT_WRITE_ODE_TRUTH, rel=1e-12, abs=0)
+
+    def test_rk4_reference_golden(self, default_cell):
+        t_max = default_write_t_max(default_cell)
+        t = write_time_rk4(
+            default_cell, default_cell.nmos.vth_nominal,
+            default_cell.pmos.vth_nominal, t_max,
+        )
+        assert t == pytest.approx(DEFAULT_WRITE_ODE_RK4, rel=1e-12, abs=0)
         # fixed-step value sits within 0.5% of the adaptive reference
         assert abs(t - DEFAULT_WRITE_ODE_TRUTH) / DEFAULT_WRITE_ODE_TRUTH < 5e-3
 
@@ -396,7 +421,61 @@ class TestWriteTimeOde:
         t_max = default_write_t_max(default_cell)
         ode = write_time_ode(default_cell, 0.38, 0.38, t_max)
         closed = write_time_closed(default_cell, 0.38)
-        assert abs(closed - ode) / ode == pytest.approx(DEFAULT_WRITE_GAP, abs=1e-6)
+        assert abs(closed - ode) / ode == pytest.approx(DEFAULT_WRITE_GAP, rel=1e-12, abs=0)
+
+    def test_matches_rk4_at_c04_horizon(self):
+        rng = np.random.default_rng(20260818)  # the C04 configurations
+        worst = 0.0
+        for _ in range(100):
+            cell, vth_n, vth_p = draw_write_config(rng)
+            t_max = 30.0 * write_time_closed(cell, vth_n)
+            exact = write_time_ode(cell, vth_n, vth_p, t_max)
+            worst = max(worst, abs(exact - write_time_rk4(cell, vth_n, vth_p, t_max)) / exact)
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("dibl", [0.02, -0.3])  # minimum of h_n/h_p at v_trip, interior
+    def test_near_critical_lanes_match_quadrature(self, quiet_nmos, dibl):
+        cell = make_cell(dataclasses.replace(quiet_nmos, dibl=dibl),
+                         pmos=dataclasses.replace(weak_pmos(), dibl=dibl))
+        nm, pm = cell.nmos, cell.pmos
+        vt = thermal_voltage(cell.temperature_c)
+
+        def drives(v):
+            return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl),
+                    _current_proposed(pm, cell.vddc, cell.vddc - v, vt, cell.vddc))
+
+        def slope_log_ratio(v):  # d/dv log(h_n/h_p), from the model's factors
+            a_n, a_p = nm.k1 / vt, pm.k1 / vt
+            return (nm.dibl / (nm.n * vt) + pm.dibl / (pm.n * vt)
+                    + a_n / math.expm1(a_n * v) + a_p / math.expm1(a_p * (cell.vddc - v)))
+
+        v_star = cell.v_trip
+        if slope_log_ratio(v_star) < 0.0:
+            v_star = brentq(slope_log_ratio, cell.v_trip, cell.vddc - 1e-6, xtol=1e-15)
+            assert v_star > cell.v_trip + 0.1
+        h_n, h_p = drives(v_star)
+        r_crit = h_n / h_p
+        # a grid minimum alone would overestimate an interior minimum
+        assert _critical_ratio(cell, drives)[0] == pytest.approx(r_crit, rel=1e-13, abs=0)
+        p_p = gate_polynomial(pm, cell.vddc, vt, 0.38)
+
+        def lane(frac):  # vth_n putting r = exp(p_p - p_n) at frac * r_crit
+            return brentq(lambda v: p_p - gate_polynomial(nm, cell.vwl, vt, v)
+                          - math.log(frac * r_crit), 0.2, 1.0, xtol=1e-15, rtol=1e-15)
+
+        fracs = [0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6]
+        vth_n = np.array([lane(f) for f in fracs] + [lane(1 + 1e-9)])
+        t = write_time_ode(cell, vth_n, 0.38, 1.0)
+        assert t[-1] == math.inf  # just past r_crit the pull-up holds the node
+        for vn, got in zip(vth_n[:-1], t[:-1]):
+            p_n = gate_polynomial(nm, cell.vwl, vt, vn)
+            r = math.exp(p_p - p_n)
+            with warnings.catch_warnings():  # cancellation near r_crit caps quad's accuracy
+                warnings.simplefilter("ignore", IntegrationWarning)
+                w, _ = quad(lambda v: 1.0 / (drives(v)[0] - r * drives(v)[1]),
+                            cell.v_trip, cell.vdd, epsabs=0.0, epsrel=1e-12, limit=500,
+                            points=[v_star] if v_star > cell.v_trip else None)
+            assert got == pytest.approx(cell.c_q * math.exp(-p_n) * w, rel=1e-9, abs=0)
 
     def test_t_max_must_be_positive(self, default_cell):
         with pytest.raises(DomainError, match="t_max"):
@@ -439,7 +518,7 @@ class TestWriteTimeOde:
 class TestDefaultWriteTMax:
     def test_hundredfold_nominal(self, default_cell):
         nominal = write_time_closed(default_cell, default_cell.nmos.vth_nominal)
-        assert default_write_t_max(default_cell) == pytest.approx(100.0 * nominal)
+        assert default_write_t_max(default_cell) == pytest.approx(100.0 * nominal, abs=0)
         assert default_write_t_max(default_cell, factor=30.0) == pytest.approx(
             30.0 * nominal
         )

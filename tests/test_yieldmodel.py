@@ -91,8 +91,8 @@ class TestEstimators:
         rng = np.random.default_rng(20240101)
         samples = rng.normal(0.3, 0.01, 1_000_000) ** 2
         dist = estimate_delta_params(samples)
-        assert dist.mu_delta == pytest.approx(0.3, rel=5e-3)
-        assert dist.sigma_delta == pytest.approx(0.01, rel=5e-3)
+        assert dist.mu_delta == pytest.approx(0.3, rel=5e-3, abs=0)
+        assert dist.sigma_delta == pytest.approx(0.01, rel=5e-3, abs=0)
 
     def test_constant_write_samples_are_degenerate(self):
         with pytest.raises(DegenerateStatisticsError, match="zero variance"):
@@ -112,15 +112,15 @@ class TestEstimators:
         rng = np.random.default_rng(20240102)
         samples = DEFAULT_T0 * np.exp(rng.normal(1.5, 0.05, 1_000_000) ** 2)
         dist = estimate_write_params(samples, t0=DEFAULT_T0)
-        assert dist.mu_w == pytest.approx(1.5, rel=5e-3)
-        assert dist.sigma_w == pytest.approx(0.05, rel=5e-3)
+        assert dist.mu_w == pytest.approx(1.5, rel=5e-3, abs=0)
+        assert dist.sigma_w == pytest.approx(0.05, rel=5e-3, abs=0)
         assert dist.t0 == DEFAULT_T0
 
 
 class TestPdfDelta:
     def test_peak_value_at_mu_squared(self):
         expect = 1.0 / (2.0 * DELTA.sigma_delta * DELTA.mu_delta * math.sqrt(2 * math.pi))
-        assert pdf_delta(DELTA, DELTA.mu_delta**2) == pytest.approx(expect, rel=1e-14)
+        assert pdf_delta(DELTA, DELTA.mu_delta**2) == pytest.approx(expect, rel=1e-14, abs=0)
 
     def test_support(self):
         assert pdf_delta(DELTA, 0.0) == 0.0
@@ -210,7 +210,7 @@ class TestAccessBer:
     def test_delta_function_limit(self):
         narrow = OffsetVoltageDist(mu_vos=0.07, sigma_vos=1e-9)
         want = access_fail_prob_fixed(DELTA, 0.07)
-        assert access_fail_prob_ber(DELTA, narrow) == pytest.approx(want, rel=1e-6)
+        assert access_fail_prob_ber(DELTA, narrow) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_never_positive_offset(self):
         below = OffsetVoltageDist(mu_vos=-0.5, sigma_vos=0.01)
@@ -243,7 +243,7 @@ class TestAccessBer:
 class TestWriteFail:
     def test_median(self):
         t_med = WRITE.t0 * math.exp(WRITE.mu_w**2)
-        assert write_fail_prob(WRITE, t_med) == pytest.approx(0.5, rel=1e-14)
+        assert write_fail_prob(WRITE, t_med) == pytest.approx(0.5, rel=1e-14, abs=0)
 
     def test_floor(self):
         assert write_fail_prob(WRITE, WRITE.t0) == 1.0
@@ -266,7 +266,7 @@ class TestWriteFail:
 
 class TestQuantiles:
     def test_delta_median_and_clamp(self):
-        assert delta_quantile(DELTA, 0.5) == pytest.approx(DELTA.mu_delta**2, rel=1e-14)
+        assert delta_quantile(DELTA, 0.5) == pytest.approx(DELTA.mu_delta**2, rel=1e-14, abs=0)
         assert delta_quantile(DELTA, 1e-300) == 0.0
 
     def test_write_median(self):
@@ -278,18 +278,18 @@ class TestQuantiles:
     @settings(max_examples=80, deadline=None)
     def test_delta_round_trip(self, q):
         dv = delta_quantile(DELTA, q)
-        assert access_fail_prob_fixed(DELTA, dv) == pytest.approx(q, rel=1e-10)
+        assert access_fail_prob_fixed(DELTA, dv) == pytest.approx(q, rel=1e-10, abs=0)
 
     @given(q=st.floats(1e-4, 1.0 - 1e-4))
     @settings(max_examples=80, deadline=None)
     def test_write_round_trip(self, q):
         t = write_quantile(WRITE, q)
-        assert 1.0 - write_fail_prob(WRITE, t) == pytest.approx(q, rel=1e-10)
+        assert 1.0 - write_fail_prob(WRITE, t) == pytest.approx(q, rel=1e-10, abs=0)
 
 
 class TestRelativeError:
     def test_examples(self):
-        assert relative_error(2e-5, 1e-5) == pytest.approx(0.5, rel=1e-15)
+        assert relative_error(2e-5, 1e-5) == pytest.approx(0.5, rel=1e-15, abs=0)
         assert relative_error(3.4e-4, 3.4e-4) == 0.0
 
     def test_zero_reference(self):
@@ -327,8 +327,8 @@ class TestCharacterization:
         table = self.synthetic_table()
         for i, t in enumerate(table.t_read):
             dist = table.distribution_at(t)
-            assert dist.mu_delta == pytest.approx(table.mu_delta[i], rel=1e-14)
-            assert dist.sigma_delta == pytest.approx(table.sigma_delta[i], rel=1e-14)
+            assert dist.mu_delta == pytest.approx(table.mu_delta[i], rel=1e-14, abs=0)
+            assert dist.sigma_delta == pytest.approx(table.sigma_delta[i], rel=1e-14, abs=0)
 
     def test_interpolation_is_monotone_between_nodes(self):
         table = self.synthetic_table()
@@ -369,11 +369,11 @@ class TestInversion:
     def test_write_round_trip(self):
         for pf in (1e-6, 1e-4, 1e-2, 0.5):
             t = invert_for_constraint(WRITE, pf)
-            assert write_fail_prob(WRITE, t) == pytest.approx(pf, rel=1e-10)
+            assert write_fail_prob(WRITE, t) == pytest.approx(pf, rel=1e-10, abs=0)
 
     def test_write_median_closed_form(self):
         t = invert_for_constraint(WRITE, 0.5)
-        assert t == pytest.approx(WRITE.t0 * math.exp(WRITE.mu_w**2), rel=1e-12)
+        assert t == pytest.approx(WRITE.t0 * math.exp(WRITE.mu_w**2), rel=1e-12, abs=0)
 
     def test_write_ceiling(self):
         with pytest.warns(UserWarning):
@@ -393,7 +393,7 @@ class TestInversion:
                            * table.ber_at(table.t_read[-1], OFFSET))
         t = invert_for_constraint(table, pf_mid, offset=OFFSET)
         assert table.t_read[0] < t < table.t_read[-1]
-        assert table.ber_at(t, OFFSET) == pytest.approx(pf_mid, rel=1e-9)
+        assert table.ber_at(t, OFFSET) == pytest.approx(pf_mid, rel=1e-9, abs=0)
 
     def test_access_requires_offset(self):
         table = TestCharacterization.synthetic_table()
@@ -427,8 +427,8 @@ class TestAutoReadGrid:
         nominal = default_cell.nmos.vth_nominal
         dv_lo = OFFSET.mu_vos + 1.6 * OFFSET.sigma_vos
         dv_hi = OFFSET.mu_vos + 5.2 * OFFSET.sigma_vos
-        assert delta_v_closed(default_cell, nominal, grid[0]) == pytest.approx(dv_lo, rel=1e-9)
-        assert delta_v_closed(default_cell, nominal, grid[-1]) == pytest.approx(dv_hi, rel=1e-9)
+        assert delta_v_closed(default_cell, nominal, grid[0]) == pytest.approx(dv_lo, rel=1e-9, abs=0)
+        assert delta_v_closed(default_cell, nominal, grid[-1]) == pytest.approx(dv_hi, rel=1e-9, abs=0)
 
     def test_geometric_spacing(self, default_cell):
         grid = auto_read_grid(default_cell, OFFSET, points=9)
