@@ -40,6 +40,7 @@ from .mc import (
     characterize_access,
     characterize_write,
     run_access_mc,
+    run_mc,
     run_write_mc,
     write_samples,
 )
@@ -307,14 +308,14 @@ def cmd_compare(args, run, log):
     cell, var = _load_inputs(run, args)
     constraints = _parse_float_list(args.constraints, "constraint")
     model = _closed_model(args, cell, var)
+    if args.mode == "access":
+        analytical = [model.ber_at(t, var.offset) for t in constraints]
+    else:
+        analytical = [write_fail_prob(model, t) for t in constraints]
+    results = run_mc(args.mode, cell, var, args.n, constraints, mode=args.oracle,
+                     threads=args.threads)
     rows = []
-    for t in constraints:
-        if args.mode == "access":
-            pf_a = model.ber_at(t, var.offset)
-            r = run_access_mc(cell, var, args.n, t, mode=args.oracle, threads=args.threads)
-        else:
-            pf_a = write_fail_prob(model, t)
-            r = run_write_mc(cell, var, args.n, t, mode=args.oracle, threads=args.threads)
+    for t, pf_a, r in zip(constraints, analytical, results):
         rel = relative_error(r.pf, pf_a) if r.pf > 0 else None
         if rel is None:
             log.warning("zero-failure MC row; relative error omitted", constraint=t)

@@ -9,6 +9,7 @@ accepted one. Box bounds are enforced by projecting each step.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -102,12 +103,21 @@ class FitReport:
 def read_iv_csv(path):
     """Read an IVDataset from CSV with header vgs,vds,ids,temp_c.
 
-    Lines starting with '#' are ignored.
+    Lines starting with '#' are ignored but counted, so errors name the file
+    line. A NaN or inf cell is a domain error, as NaN is in the JSON inputs.
     """
     rows = []
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                yield line
+
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            reader = csv.reader(data_lines(fh))
             try:
                 header = next(reader)
             except StopIteration:
@@ -116,16 +126,19 @@ def read_iv_csv(path):
                 raise ParseError(
                     f"{path}: expected header {','.join(IV_CSV_HEADER)}, got {','.join(header)}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 4:
                     raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
                 try:
-                    rows.append([float(cell) for cell in row])
+                    values = [float(cell) for cell in row]
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+                if not all(map(math.isfinite, values)):
+                    raise DomainError(f"{path}:{lineno}: non-finite value in {','.join(row)}")
+                rows.append(values)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")

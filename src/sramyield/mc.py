@@ -2,9 +2,13 @@
 
 Sampling uses counter-based Philox substreams: sample i always consumes
 counter block i of the stream keyed by (seed, role), so any partition of the
-index range over any number of threads reproduces identical draws. Failure
-counts come with Wilson score intervals; raw samples can be exported as CSV
-for the distribution estimators.
+index range over any number of threads reproduces identical draws. Every
+pass walks the index range as one ordered stream of fixed _BLOCK-sized
+blocks: each block is drawn once, evaluated, scored against every
+constraint of the run and dropped, so a run holds O(_BLOCK * threads) lanes
+whatever n is. `threads` sets how many blocks are worked on at once, not how
+the range is cut. Failure counts come with Wilson score intervals; raw
+samples can be exported as CSV for the distribution estimators.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import starmap
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,6 +31,7 @@ from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
 _ROLE_ACCESS = 1
 _ROLE_WRITE = 2
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; the generator can emit exactly 0.0
+_BLOCK = 1 << 16  # samples per stream block, whatever the thread count
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def _block_uniforms(seed, role, start, count):
     bg = np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
     bg.advance(start)
     u = np.random.Generator(bg).random((count, 4))
-    return np.maximum(u, _MIN_UNIFORM)
+    return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
 def _draw(var, role, start, count, other_mean, other_sigma):
@@ -149,20 +154,45 @@ def draw_write_samples(var, start, count):
     return _draw(var, _ROLE_WRITE, start, count, var.vth_p_mean, var.vth_p_sigma)
 
 
-def _chunks(n, threads):
-    size = max(1, -(-n // max(1, threads)))
-    return [(s, min(size, n - s)) for s in range(0, n, size)]
+def _stream(fn, base, n, threads):
+    """[fn(start, count) for each fixed block of [base, base+n)], in index order.
 
-
-def _parallel_map(fn, n, threads):
-    parts = _chunks(n, threads)
-    if len(parts) == 1 or threads <= 1:
-        return [fn(s, c) for s, c in parts]
+    Blocks are _BLOCK samples long whatever the thread count, so a pass holds
+    O(_BLOCK * threads) lanes at a time; with threads > 1 a pool works on
+    `threads` blocks at once and results come back in block order.
+    """
+    blocks = [(base + s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
+    if threads <= 1 or len(blocks) == 1:
+        return [fn(s, c) for s, c in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda sc: fn(*sc), parts))
+        return list(pool.map(lambda sc: fn(*sc), blocks))
 
 
 # -- sample evaluation ------------------------------------------------------------
+
+def _check_pass(n, mode):
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if mode not in ("closed", "ode"):
+        raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
+
+
+def _draw_role(role, var, start, count):
+    if role == _ROLE_ACCESS:
+        return draw_access_samples(var, start, count)
+    return draw_write_samples(var, start, count)
+
+
+def _oracle(role, cell, mode, vth_n, other, t):
+    """delta_v at read time t (access) or the write time censored at t_max = t."""
+    if role == _ROLE_ACCESS:
+        metric = (delta_v_closed if mode == "closed" else delta_v_ode)(cell, vth_n, t)
+    elif mode == "closed":
+        metric = write_time_closed(cell, vth_n)
+    else:
+        metric = write_time_ode(cell, vth_n, other, t)
+    return np.asarray(metric, dtype=float)
+
 
 def _samples(role, cell, var, n, mode, threads, t, base=0):
     """Draw blocks [base, base+n) of a role's stream and evaluate its oracle.
@@ -171,26 +201,15 @@ def _samples(role, cell, var, n, mode, threads, t, base=0):
     write (None picks the default). Returns (vth_n, other, metric) arrays in
     sample-index order; other is v_os for access and vth_p for write.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if mode not in ("closed", "ode"):
-        raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
-    closed = mode == "closed"
-    if role == _ROLE_WRITE and not closed and t is None:
+    _check_pass(n, mode)
+    if role == _ROLE_WRITE and mode == "ode" and t is None:
         t = default_write_t_max(cell)
 
-    def work(start, count):
-        if role == _ROLE_ACCESS:
-            vth_n, other = draw_access_samples(var, base + start, count)
-            metric = (delta_v_closed if closed else delta_v_ode)(cell, vth_n, t)
-        else:
-            vth_n, other = draw_write_samples(var, base + start, count)
-            metric = (write_time_closed(cell, vth_n) if closed
-                      else write_time_ode(cell, vth_n, other, t))
-        return vth_n, other, np.asarray(metric, dtype=float)
+    def block(start, count):
+        vth_n, other = _draw_role(role, var, start, count)
+        return vth_n, other, _oracle(role, cell, mode, vth_n, other, t)
 
-    parts = _parallel_map(work, n, threads)
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return tuple(np.concatenate(cols) for cols in zip(*_stream(block, base, n, threads)))
 
 
 def access_samples(cell, var, n, t_read, mode="closed", threads=1):
@@ -212,35 +231,54 @@ def write_samples(cell, var, n, mode="closed", t_max=None, threads=1):
 
 # -- top-level MC runs ------------------------------------------------------------
 
-def _run_mc(n, what, constraint, sample, fails, other_column, export_path):
-    """One timed MC run. `sample()` checks the role's own arguments and returns
-    (vth_n, other, metric); `fails(other, metric)` is the role's failure rule;
-    the export writes `other` into the CSV column `other_column`."""
-    if not math.isfinite(constraint):
-        raise DomainError(f"{what} must be finite, got {constraint!r}")
+def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=None):
+    """One timed pass over n samples; one McResult per constraint.
+
+    Every constraint is checked before the first draw. Access evaluates dv
+    once per read time on each block, write evaluates the write time once.
+    Blocks are dropped after scoring unless an export (one constraint) keeps
+    them.
+    """
+    what = "t_read" if role == _ROLE_ACCESS else "t_write"
+    for c in constraints:
+        if not math.isfinite(c):
+            raise DomainError(f"{what} must be finite, got {c!r}")
+        if role == _ROLE_WRITE and not c > 0.0:
+            raise DomainError(f"t_write must be > 0, got {c}")
+        if role == _ROLE_WRITE and mode == "ode":
+            t_max = default_write_t_max(cell) if t_max is None else t_max
+            if c > t_max:
+                raise DomainError(f"t_write {c!r} exceeds the censoring horizon t_max {t_max!r}")
+    _check_pass(n, mode)
+
+    def block(start, count):
+        vth_n, other = _draw_role(role, var, start, count)
+        if role == _ROLE_ACCESS:
+            metrics = [_oracle(role, cell, mode, vth_n, other, t) for t in constraints]
+            fails = [(other > 0.0) & (dv < other) for dv in metrics]
+        else:
+            metrics = [_oracle(role, cell, mode, vth_n, other, t_max)]
+            fails = [metrics[0] > t for t in constraints]
+        counts = [int(np.count_nonzero(f)) for f in fails]
+        return counts, (vth_n, other, metrics[0], fails[0]) if export_path is not None else None
+
     started = time.perf_counter()
-    vth_n, other, metric = sample()
-    fail = fails(other, metric)
-    failures = int(np.sum(fail))
+    parts = _stream(block, 0, n, threads)
     wall = time.perf_counter() - started
     if export_path is not None:
+        vth_n, other, metric, fail = (np.concatenate(cols) for cols in zip(*(k for _, k in parts)))
+        other_column = "v_os" if role == _ROLE_ACCESS else "vth_p"
         export_samples(export_path, vth_n=vth_n, metric=metric, fail=fail,
                        **{other_column: other})
-    return McResult(
-        n=n,
-        failures=failures,
-        pf=failures / n,
-        ci95=wilson_ci(failures, n, 0.95),
-        samples_path=str(export_path) if export_path is not None else None,
-        wall_time=wall,
-    )
+    path = str(export_path) if export_path is not None else None
+    return [McResult(n=n, failures=f, pf=f / n, ci95=wilson_ci(f, n, 0.95),
+                     samples_path=path, wall_time=wall)
+            for f in map(sum, zip(*(counts for counts, _ in parts)))]
 
 
 def run_access_mc(cell, var, n, t_read, mode="closed", threads=1, export_path=None):
     """Empirical access failure probability: fail iff v_os > 0 and dv < v_os."""
-    return _run_mc(n, "t_read", t_read,
-                   lambda: access_samples(cell, var, n, t_read, mode=mode, threads=threads),
-                   lambda v_os, dv: (v_os > 0.0) & (dv < v_os), "v_os", export_path)
+    return _run_mc(_ROLE_ACCESS, cell, var, n, (t_read,), mode, threads, None, export_path)[0]
 
 
 def run_write_mc(cell, var, n, t_write, mode="closed", threads=1, t_max=None,
@@ -250,31 +288,40 @@ def run_write_mc(cell, var, n, t_write, mode="closed", threads=1, t_max=None,
     Censored ODE samples count as failures; constraints beyond the censoring
     horizon are rejected.
     """
-    def sample():
-        if not t_write > 0.0:
-            raise DomainError(f"t_write must be > 0, got {t_write}")
-        horizon = default_write_t_max(cell) if mode == "ode" and t_max is None else t_max
-        if mode == "ode" and t_write > horizon:
-            raise DomainError(
-                f"t_write {t_write!r} exceeds the censoring horizon t_max {horizon!r}"
-            )
-        return write_samples(cell, var, n, mode=mode, t_max=horizon, threads=threads)
+    return _run_mc(_ROLE_WRITE, cell, var, n, (t_write,), mode, threads, t_max, export_path)[0]
 
-    return _run_mc(n, "t_write", t_write, sample, lambda vth_p, t: t > t_write,
-                   "vth_p", export_path)
+
+def run_mc(role, cell, var, n, constraints, mode="closed", threads=1):
+    """One McResult per constraint of a role ("access" or "write") from one
+    pass over n samples: the same numbers as one run_access_mc/run_write_mc
+    call per constraint, at one draw per sample."""
+    roles = {"access": _ROLE_ACCESS, "write": _ROLE_WRITE}
+    if role not in roles:
+        raise DomainError(f"role must be 'access' or 'write', got {role!r}")
+    if len(constraints) < 1:
+        raise DomainError("an MC run needs at least one constraint")
+    return _run_mc(roles[role], cell, var, n, tuple(constraints), mode, threads, None)
 
 
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
+_EXPORT_ROWS = 8192
 
 
 def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
     """One CSV row per sample; columns not drawn for this mode stay empty."""
-    def cells(values):
-        return repeat("") if values is None else map(repr, map(float, values))
+    drawn = (vth_n, vth_p, v_os, metric)
+    row = ("{}" + "".join("," if c is None else ",{!r}" for c in drawn) + ",{:d}\n").format
+    columns = [c for c in drawn if c is not None]
+    fail = np.asarray(fail)
 
-    rows = zip(cells(vth_n), cells(vth_p), cells(v_os), cells(metric), fail)
-    write_csv(path, SAMPLES_CSV_HEADER,
-              (f"{i},{v},{p},{o},{m},{int(f)}\n" for i, (v, p, o, m, f) in enumerate(rows)))
+    def chunks():  # tolist per chunk, not per column: whole-column lists cost tens of MB
+        for s in range(0, len(vth_n), _EXPORT_ROWS):
+            part = slice(s, s + _EXPORT_ROWS)
+            cols = [np.asarray(c[part], dtype=float).tolist() for c in columns]
+            idx = range(s, s + len(cols[0]))
+            yield "".join(starmap(row, zip(idx, *cols, fail[part].tolist())))
+
+    write_csv(path, SAMPLES_CSV_HEADER, chunks())
 
 
 # -- characterization -------------------------------------------------------------

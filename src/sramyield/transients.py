@@ -469,9 +469,12 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
             acc += wk / (nk - r_live * pk)
         sums.append(acc)
     coarse, total = sums
+    # full_output keeps quad's roundoff warning near r_crit off stderr (and,
+    # unlike catch_warnings, is thread-safe); the cancellation in
+    # h_n - r*h_p limits the value there either way.
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
         total[i] = quad(integrand, cell.v_trip, cell.vdd, args=(r[i],), points=cuts or None,
-                        epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200)[0]
+                        epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200, full_output=1)[0]
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t

@@ -15,7 +15,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from sramyield import mc
 from sramyield.cli import EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_FIT, EXIT_PARSE, main
+from sramyield.mc import run_access_mc, run_write_mc
 from sramyield.yieldmodel import (
     WriteTimeDistribution,
     write_distribution_json,
@@ -62,6 +64,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("volts,amps\n0.1,0.2\n")
         assert run_cli(tmp_path, "fit", "--iv", str(bad)) == EXIT_PARSE
+
+    @pytest.mark.parametrize("role,constraints", [
+        ("access", "1.1e-10,nan"), ("write", "1.3e-11,nan"), ("write", "1.3e-11,inf"),
+    ])
+    def test_bad_second_constraint_stops_before_mc(self, tmp_path, capsys, monkeypatch,
+                                                   role, constraints):
+        drawn = []
+        for name in ("draw_access_samples", "draw_write_samples"):
+            monkeypatch.setattr(mc, name, lambda var, start, count, draw=getattr(mc, name):
+                                drawn.append(count) or draw(var, start, count))
+        rc = run_cli(tmp_path, "compare", "--mode", role, "--constraints", constraints,
+                     "--n", "1000", "--char-n", "128")
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+        assert sum(drawn) == (12 * 128 if role == "access" else 128)  # characterization only
 
     def test_fit_nonconvergence(self, tmp_path):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "1")
@@ -211,6 +229,53 @@ class TestInputContract:
             assert run_cli(tmp_path / name, *argv, str(path)) == 0, name
 
 
+def _iv_mutation(mutation):
+    """The bundled I-V CSV with one defect; data line 4 is file line 6."""
+    lines = open(BUNDLED_IV).read().splitlines(keepends=True)
+    head, row, tail = lines[:5], lines[5].rstrip("\n").split(","), lines[6:]
+    if mutation == "empty-file":
+        return ""
+    if mutation == "header-only":
+        return "".join(lines[:2])
+    if mutation == "dropped-column":
+        return "".join(",".join(line.split(",")[:3]).rstrip("\n") + "\n" for line in lines)
+    if mutation == "binary-bytes":
+        return bytes(range(256)) * 4
+    if mutation == "short-row":
+        row = row[:3]
+    else:
+        row[2] = {"text-in-cell": "abc", "nan": "nan", "inf": "inf"}[mutation]
+    return "".join(head + [",".join(row) + "\n"] + tail)
+
+
+# mutation -> (exit code, expected text in the error line)
+IV_MUTATIONS = {
+    "empty-file": (EXIT_PARSE, "empty file"),
+    "header-only": (EXIT_PARSE, "no data rows"),
+    "dropped-column": (EXIT_PARSE, "expected header"),
+    "text-in-cell": (EXIT_PARSE, "iv.csv:6: could not convert"),
+    "short-row": (EXIT_PARSE, "iv.csv:6: expected 4 columns"),
+    "binary-bytes": (EXIT_PARSE, "cannot read"),
+    "nan": (EXIT_DOMAIN, "iv.csv:6: non-finite value"),
+    "inf": (EXIT_DOMAIN, "iv.csv:6: non-finite value"),
+}
+
+
+class TestIvCsvContract:
+    @pytest.mark.parametrize("mutation", list(IV_MUTATIONS))
+    def test_malformed_iv_csv(self, tmp_path, capsys, mutation):
+        path = tmp_path / "iv.csv"
+        text = _iv_mutation(mutation)
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        rc = run_cli(tmp_path / "out", "fit", "--iv", str(path))
+        err = capsys.readouterr().err
+        code, message = IV_MUTATIONS[mutation]
+        assert rc == code, err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and message in errors[0], err
+
+
 class TestFit:
     def test_bundled_dataset_converges(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--emit-iv", "curves.csv")
@@ -356,6 +421,29 @@ class TestCompare:
         pf_a, pf_mc = float(rows[0][1]), float(rows[0][2])
         assert 0.0 < pf_a < 1.0
         assert abs(pf_a - pf_mc) < 0.1
+
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("oracle", ["closed", "ode"])
+    @pytest.mark.parametrize("role", ["access", "write"])
+    def test_one_pass_equals_one_run_per_constraint(self, tmp_path, default_cell,
+                                                    default_variation, role, oracle, threads):
+        n = mc._BLOCK + 5 if oracle == "closed" else 700
+        constraints = [8e-11, 1.1e-10, 1.5e-10] if role == "access" else [1.2e-11, 1.3e-11, 1.4e-11]
+        rc = run_cli(tmp_path, "--threads", str(threads), "compare", "--mode", role,
+                     "--oracle", oracle, "--constraints", ",".join(map(repr, constraints)),
+                     "--n", str(n), "--char-n", "128")
+        assert rc == 0
+        _, rows = csv_rows(tmp_path / "compare.csv")
+        assert any(float(row[2]) > 0.0 for row in rows)
+        for t, row in zip(constraints, rows, strict=True):
+            if role == "access":
+                r = run_access_mc(default_cell, default_variation, n, t, mode=oracle,
+                                  threads=threads)
+            else:
+                r = run_write_mc(default_cell, default_variation, n, t, mode=oracle,
+                                 threads=threads)
+            assert [float(x) for x in row[2:5]] == [r.pf, *r.ci95]
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ index), never on how the index range was split over threads.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sramyield.mc import (
     draw_write_samples,
     export_samples,
     run_access_mc,
+    run_mc,
     run_write_mc,
     wilson_ci,
     write_samples,
@@ -254,6 +256,82 @@ class TestRunWriteMc:
         a = run_write_mc(default_cell, VAR, 1000, 2e-11, threads=8)
         b = run_write_mc(default_cell, VAR, 1000, 2e-11, threads=1)
         assert a.to_dict(include_wall_time=False) == b.to_dict(include_wall_time=False)
+
+
+class TestStream:
+    """Every pass walks fixed _BLOCK-sized blocks, drawn once each."""
+
+    @pytest.mark.parametrize("n", [mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 3])
+    @pytest.mark.parametrize("role", ["access", "write"])
+    def test_export_across_block_edges(self, default_cell, tmp_path, role, n):
+        exports = []
+        for threads in (1, 2, 8):
+            path = tmp_path / f"t{threads}.csv"
+            if role == "access":
+                run_access_mc(default_cell, VAR, n, T_READ, threads=threads, export_path=path)
+            else:
+                run_write_mc(default_cell, VAR, n, 2e-11, threads=threads, export_path=path)
+            exports.append(path.read_bytes())
+        assert exports[1] == exports[0] and exports[2] == exports[0]
+        cols = list(zip(*(line.split(",") for line in exports[0].decode().splitlines()[2:])))
+        assert cols[0] == tuple(str(i) for i in range(n))
+        if role == "access":
+            vth_n, other, metric = access_samples(default_cell, VAR, n, T_READ)
+            fail = (other > 0.0) & (metric < other)
+            other_col, empty_col = cols[3], cols[2]
+        else:
+            vth_n, other, metric = write_samples(default_cell, VAR, n)
+            fail = metric > 2e-11
+            other_col, empty_col = cols[2], cols[3]
+        assert set(empty_col) == {""}
+        for got, want in zip((cols[1], other_col, cols[4]), (vth_n, other, metric)):
+            assert np.array_equal(np.array(got, dtype=float), want)
+        assert np.array_equal(np.array(cols[5], dtype=int), fail.astype(int))
+
+    @pytest.mark.parametrize("role", ["access", "write"])
+    def test_pass_memory_is_per_block(self, default_cell, role):
+        tracemalloc.start()
+        try:
+            if role == "access":
+                run_access_mc(default_cell, VAR, 10**6, T_READ)
+            else:
+                run_write_mc(default_cell, VAR, 10**6, 2e-11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # whole 1e6-lane columns alone take 8 MB each
+
+    @pytest.mark.parametrize("role,constraints,mode,match", [
+        ("access", [T_READ, math.nan], "closed", "t_read must be finite"),
+        ("write", [2e-11, math.inf], "closed", "t_write must be finite"),
+        ("write", [2e-11, -1.0], "closed", "t_write must be > 0"),
+        ("write", [2e-11, 1.0], "ode", "exceeds the censoring horizon"),
+    ])
+    def test_every_constraint_checked_before_drawing(self, default_cell, monkeypatch,
+                                                     role, constraints, mode, match):
+        def no_draw(*args):
+            raise AssertionError("drew samples before checking every constraint")
+
+        monkeypatch.setattr(mc, "draw_access_samples", no_draw)
+        monkeypatch.setattr(mc, "draw_write_samples", no_draw)
+        with pytest.raises(DomainError, match=match):
+            run_mc(role, default_cell, VAR, 100, constraints, mode=mode)
+
+    def test_write_oracle_runs_once_per_block(self, default_cell, monkeypatch):
+        calls = []
+        oracle = mc.write_time_closed
+        monkeypatch.setattr(mc, "write_time_closed",
+                            lambda cell, vth_n: calls.append(len(vth_n)) or oracle(cell, vth_n))
+        n = mc._BLOCK + 10
+        results = run_mc("write", default_cell, VAR, n, [1.5e-11, 2e-11, 3e-11])
+        assert calls == [mc._BLOCK, 10]
+        assert [r.failures for r in results] == sorted((r.failures for r in results), reverse=True)
+
+    def test_run_mc_argument_checks(self, default_cell):
+        with pytest.raises(DomainError, match="role"):
+            run_mc("read", default_cell, VAR, 10, [T_READ])
+        with pytest.raises(DomainError, match="at least one constraint"):
+            run_mc("access", default_cell, VAR, 10, [])
 
 
 class TestMcResult:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from sramyield import transients
 from sramyield.devices import DeviceParams, _current_proposed, gate_polynomial, thermal_voltage
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
 from sramyield.transients import (
@@ -476,6 +477,27 @@ class TestWriteTimeOde:
                             cell.v_trip, cell.vdd, epsabs=0.0, epsrel=1e-12, limit=500,
                             points=[v_star] if v_star > cell.v_trip else None)
             assert got == pytest.approx(cell.c_q * math.exp(-p_n) * w, rel=1e-9, abs=0)
+
+    def test_quadrature_fallback_at_r_crit_is_silent(self, default_cell, monkeypatch):
+        cell = default_cell
+        nm, pm = cell.nmos, cell.pmos
+        vt = thermal_voltage(cell.temperature_c)
+
+        def drives(v):
+            return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl),
+                    _current_proposed(pm, cell.vddc, np.clip(cell.vddc - v, 0.0, None),
+                                      vt, cell.vddc))
+
+        r_crit, _ = _critical_ratio(cell, drives)
+        target = gate_polynomial(nm, cell.vwl, vt, 0.38) + math.log((1 - 1e-10) * r_crit)
+        vth_p = brentq(lambda v: gate_polynomial(pm, cell.vddc, vt, v) - target, 0.0, 1.0,
+                       xtol=1e-15, rtol=1e-15)
+        calls = []
+        monkeypatch.setattr(transients, "quad", lambda *a, **k: calls.append(1) or quad(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # quad's roundoff IntegrationWarning included
+            t = write_time_ode(cell, 0.38, vth_p, 1.0)
+        assert calls and math.isfinite(t)
 
     def test_t_max_must_be_positive(self, default_cell):
         with pytest.raises(DomainError, match="t_max"):
