@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,6 +38,7 @@ from .fitting import FitOptions, default_init, fit_device, model_currents, read_
 from .mc import (
     VariationSpec,
     access_samples,
+    characterization_lanes,
     characterize_access,
     characterize_write,
     run_access_mc,
@@ -240,10 +242,19 @@ def cmd_characterize(args, run, log):
     cell, var = _load_inputs(run, args)
     if args.mode == "access":
         n = args.n if args.n is not None else 200
-        if args.t_lo is not None and args.t_hi is not None:
-            grid = np.geomspace(args.t_lo, args.t_hi, args.grid_points)
-        else:
+        if (args.t_lo is None) != (args.t_hi is None):
+            raise ParseError("--t-lo and --t-hi go together: give both or neither")
+        if args.t_lo is None:
             grid = auto_read_grid(cell, var.offset, points=args.grid_points)
+        else:
+            # a one-point grid is the only one whose ends may coincide
+            if not (0.0 < args.t_lo <= args.t_hi < math.inf
+                    and (args.t_lo < args.t_hi or args.grid_points == 1)):
+                raise DomainError(f"need 0 < t_lo < t_hi < inf, got t_lo {args.t_lo!r}, "
+                                  f"t_hi {args.t_hi!r}")
+            if args.grid_points < 1:
+                raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+            grid = np.geomspace(args.t_lo, args.t_hi, args.grid_points)
         char = characterize_access(cell, var, grid, n=n, mode=args.oracle, threads=args.threads)
         run.write_json(args.out, char.to_dict())
         print(
@@ -282,34 +293,45 @@ def cmd_yield(args, run, log):
     else:
         if args.constraints is None:
             raise ParseError("yield needs --constraints or --target")
-        for t in _parse_float_list(args.constraints, "constraint"):
-            if isinstance(dist, WriteTimeDistribution):
-                pf = write_fail_prob(dist, t)
-            else:
-                pf = dist.ber_at(t, offset)
-            rows.append((t, pf))
+        constraints = _parse_float_list(args.constraints, "constraint")
+        if isinstance(dist, WriteTimeDistribution):
+            pfs = [write_fail_prob(dist, t) for t in constraints]
+        else:
+            pfs = dist.ber_at(constraints, offset).tolist()
+        rows.extend(zip(constraints, pfs))
     write_csv(run.out_path(args.out), "constraint,pf_analytical,pf_mc,mc_lo,mc_hi",
               (f"{t!r},{pf!r},,,\n" for t, pf in rows))
     for t, pf in rows:
         print(f"constraint {t!r} s -> pf {pf!r}")
 
 
-def _closed_model(args, cell, var):
-    """Closed-oracle characterization of the mode's distribution."""
-    if args.mode == "access":
-        grid = auto_read_grid(cell, var.offset, points=args.grid_points)
-        return characterize_access(cell, var, grid, n=args.char_n or 200,
-                                   mode="closed", threads=args.threads)
-    return characterize_write(cell, var, n=args.char_n or 1600,
-                              mode="closed", t0=args.t0, threads=args.threads)
+def _closed_model(args, var):
+    """Closed-oracle characterization of the mode's distribution, per cell.
+
+    Closed access dv and the closed write time depend on vth_n only, so the
+    returned function draws the characterization lanes on its first call and
+    evaluates every later cell of the command on the same lanes.
+    """
+    n = (200 if args.mode == "access" else 1600) if args.char_n is None else args.char_n
+    lanes = functools.cache(lambda count: characterization_lanes(args.mode, var, count,
+                                                                 args.threads))
+
+    def model(cell):
+        if args.mode == "access":
+            grid = auto_read_grid(cell, var.offset, points=args.grid_points)
+            return characterize_access(cell, var, grid, n=n, mode="closed",
+                                       lanes=lanes(len(grid) * n))
+        return characterize_write(cell, var, n=n, mode="closed", t0=args.t0, lanes=lanes(n))
+
+    return model
 
 
 def cmd_compare(args, run, log):
     cell, var = _load_inputs(run, args)
     constraints = _parse_float_list(args.constraints, "constraint")
-    model = _closed_model(args, cell, var)
+    model = _closed_model(args, var)(cell)
     if args.mode == "access":
-        analytical = [model.ber_at(t, var.offset) for t in constraints]
+        analytical = model.ber_at(constraints, var.offset).tolist()
     else:
         analytical = [write_fail_prob(model, t) for t in constraints]
     results = run_mc(args.mode, cell, var, args.n, constraints, mode=args.oracle,
@@ -350,10 +372,11 @@ def cmd_sweep(args, run, log):
             "temperature sweep re-evaluates the thermal voltage only; "
             "fitted device constants are held at their extraction corner"
         )
+    characterize = _closed_model(args, var)
     rows = []
     for v in values:
         try:
-            model = _closed_model(args, _sweep_cell(base, args.axis, v), var)
+            model = characterize(_sweep_cell(base, args.axis, v))
             t = invert_for_constraint(model, args.target, offset=var.offset)
         except WorkbenchError as exc:
             raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc

@@ -30,6 +30,7 @@ from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
 
 _ROLE_ACCESS = 1
 _ROLE_WRITE = 2
+_ROLES = {"access": _ROLE_ACCESS, "write": _ROLE_WRITE}
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; the generator can emit exactly 0.0
 _BLOCK = 1 << 16  # samples per stream block, whatever the thread count
 
@@ -177,6 +178,12 @@ def _check_pass(n, mode):
         raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
 
 
+def _role(name):
+    if name not in _ROLES:
+        raise DomainError(f"role must be 'access' or 'write', got {name!r}")
+    return _ROLES[name]
+
+
 def _draw_role(role, var, start, count):
     if role == _ROLE_ACCESS:
         return draw_access_samples(var, start, count)
@@ -184,14 +191,29 @@ def _draw_role(role, var, start, count):
 
 
 def _oracle(role, cell, mode, vth_n, other, t):
-    """delta_v at read time t (access) or the write time censored at t_max = t."""
+    """delta_v at read time t (access) or the write time censored at t_max = t
+    (None picks the default horizon)."""
     if role == _ROLE_ACCESS:
         metric = (delta_v_closed if mode == "closed" else delta_v_ode)(cell, vth_n, t)
     elif mode == "closed":
         metric = write_time_closed(cell, vth_n)
     else:
-        metric = write_time_ode(cell, vth_n, other, t)
+        metric = write_time_ode(cell, vth_n, other, default_write_t_max(cell) if t is None else t)
     return np.asarray(metric, dtype=float)
+
+
+def characterization_lanes(role, var, n, threads=1):
+    """(vth_n, other) arrays of blocks [0, n) of a role's stream ("access" or
+    "write"), for the `lanes` argument of characterize_access/_write.
+
+    The lanes depend on the variation only, not on the cell, so a command
+    that characterizes many cells draws them once.
+    """
+    role = _role(role)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    parts = _stream(lambda start, count: _draw_role(role, var, start, count), 0, n, threads)
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def _samples(role, cell, var, n, mode, threads, t, base=0):
@@ -202,8 +224,6 @@ def _samples(role, cell, var, n, mode, threads, t, base=0):
     sample-index order; other is v_os for access and vth_p for write.
     """
     _check_pass(n, mode)
-    if role == _ROLE_WRITE and mode == "ode" and t is None:
-        t = default_write_t_max(cell)
 
     def block(start, count):
         vth_n, other = _draw_role(role, var, start, count)
@@ -295,12 +315,10 @@ def run_mc(role, cell, var, n, constraints, mode="closed", threads=1):
     """One McResult per constraint of a role ("access" or "write") from one
     pass over n samples: the same numbers as one run_access_mc/run_write_mc
     call per constraint, at one draw per sample."""
-    roles = {"access": _ROLE_ACCESS, "write": _ROLE_WRITE}
-    if role not in roles:
-        raise DomainError(f"role must be 'access' or 'write', got {role!r}")
+    role = _role(role)
     if len(constraints) < 1:
         raise DomainError("an MC run needs at least one constraint")
-    return _run_mc(roles[role], cell, var, n, tuple(constraints), mode, threads, None)
+    return _run_mc(role, cell, var, n, tuple(constraints), mode, threads, None)
 
 
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
@@ -326,32 +344,44 @@ def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
 
 # -- characterization -------------------------------------------------------------
 
-def characterize_access(cell, var, t_grid, n=200, mode="closed", threads=1):
+def characterize_access(cell, var, t_grid, n=200, mode="closed", threads=1, lanes=None):
     """Per-grid-point moment estimation for the access distribution.
 
     Grid point j consumes its own block range [j*n, (j+1)*n), so the moment
     estimates carry independent noise per point and interpolation between
-    points averages it down.
+    points averages it down. All G*n blocks are drawn once and evaluated in
+    one oracle call, each read time repeated over its row; `lanes`, those
+    blocks from characterization_lanes("access", var, G*n), replaces the draw.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 1:
         raise DomainError("characterization grid needs at least 1 point")
-    mus, sigmas = [], []
-    for j, t in enumerate(t_grid):
-        _, _, dv = _samples(_ROLE_ACCESS, cell, var, n, mode, threads, t, base=j * n)
-        dist = estimate_delta_params(dv)
-        mus.append(dist.mu_delta)
-        sigmas.append(dist.sigma_delta)
+    _check_pass(n, mode)
+    if lanes is None:
+        lanes = characterization_lanes("access", var, len(t_grid) * n, threads)
+    dv = _oracle(_ROLE_ACCESS, cell, mode, *lanes, np.repeat(t_grid, n))
+    dists = [estimate_delta_params(row) for row in dv.reshape(len(t_grid), n)]
     return AccessCharacterization(
-        t_read=tuple(t_grid), mu_delta=tuple(mus), sigma_delta=tuple(sigmas)
+        t_read=tuple(t_grid),
+        mu_delta=tuple(d.mu_delta for d in dists),
+        sigma_delta=tuple(d.sigma_delta for d in dists),
     )
 
 
-def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, threads=1):
-    """Moment estimation for the write-time distribution from n samples."""
+def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, threads=1,
+                       lanes=None):
+    """Moment estimation for the write-time distribution from n samples.
+
+    `lanes`, blocks [0, n) from characterization_lanes("write", var, n),
+    replaces the draw.
+    """
     if t0 is None:
         t0 = DEFAULT_T0
-    _, _, t = write_samples(cell, var, n, mode=mode, t_max=t_max, threads=threads)
+    if lanes is None:
+        _, _, t = write_samples(cell, var, n, mode=mode, t_max=t_max, threads=threads)
+    else:
+        _check_pass(n, mode)
+        t = _oracle(_ROLE_WRITE, cell, mode, *lanes, t_max)
     if np.any(np.isinf(t)):
         raise DegenerateStatisticsError(
             "censored samples in the characterization draw; raise t_max or weaken contention"

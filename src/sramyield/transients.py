@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -60,7 +61,7 @@ def _gauss_legendre(order):
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-_GAUSS = {order: _gauss_legendre(order) for order in (8, 16)}
+_GAUSS = {order: _gauss_legendre(order) for order in (8, 16, 32)}
 
 
 def _adaptive_simpson(f, a, b, rel_tol):
@@ -92,8 +93,9 @@ class CellConfig:
 
     `vwl` and `vddc` are the effective wordline and cell-supply voltages
     after any assist; `apply_assist` produces modified copies. The closed
-    write-model quantities (contention prefactor and trip integral) are
-    computed once here, so all evaluation calls are read-only.
+    write model is checked here (drain factors finite, pull-down ahead on
+    the whole path); its trip integral is computed on the first `w_trip`
+    read, so cells that only serve reads never pay for it.
     """
 
     nmos: DeviceParams
@@ -135,10 +137,10 @@ class CellConfig:
                 f"v_trip/vddc = {ratio:.3f} outside the validated band [{lo}, {hi}]"
             )
         thermal_voltage(self.temperature_c)  # rejects non-physical temperature
-        self._build_write_cache()
+        self._check_write_model()
 
-    # -- closed write model cache -------------------------------------------
-    def _build_write_cache(self):
+    # -- closed write model ---------------------------------------------------
+    def _check_write_model(self):
         vt = thermal_voltage(self.temperature_c)
         nm, pm = self.nmos, self.pmos
         p_n0 = gate_polynomial(nm, self.vwl, vt)
@@ -159,7 +161,6 @@ class CellConfig:
 
         net = pull_down - pull_up
         error = None
-        w_trip = None
         if self.v_trip >= self.vdd:
             error = f"v_trip {self.v_trip} is not below the write start voltage vdd {self.vdd}"
         elif not np.min(net) > 0.0:
@@ -168,25 +169,24 @@ class CellConfig:
                 "pull-up overpowers pull-down in the closed write model "
                 f"near v_q = {worst:.4f} V; closed write times are undefined"
             )
-        else:
-
-            def net_scale(v):
-                pull_down = nm.i0 * math.exp(nm.dibl * v / (nm.n * vt))
-                pull_up = beta0 * pm.i0 * math.exp(pm.dibl * (self.vddc - v) / (pm.n * vt))
-                return pull_down - pull_up
-
-            w_trip = _adaptive_simpson(
-                lambda v: 1.0 / net_scale(v), self.v_trip, self.vdd, _SIMPSON_REL_TOL
-            )
-        object.__setattr__(self, "_w_trip", w_trip)
         object.__setattr__(self, "_write_error", error)
 
-    @property
+    @cached_property
     def w_trip(self):
-        """Cached trip integral of the closed write model (s*A/F units)."""
+        """Trip integral of the closed write model (s*A/F units), computed once."""
         if self._write_error is not None:
             raise ModelInapplicableError(self._write_error)
-        return self._w_trip
+        vt = thermal_voltage(self.temperature_c)
+        nm, pm, beta0 = self.nmos, self.pmos, self.beta0
+
+        def net_scale(v):
+            pull_down = nm.i0 * math.exp(nm.dibl * v / (nm.n * vt))
+            pull_up = beta0 * pm.i0 * math.exp(pm.dibl * (self.vddc - v) / (pm.n * vt))
+            return pull_down - pull_up
+
+        return _adaptive_simpson(
+            lambda v: 1.0 / net_scale(v), self.v_trip, self.vdd, _SIMPSON_REL_TOL
+        )
 
     # -- serialization --------------------------------------------------------
     def to_dict(self):

@@ -97,6 +97,11 @@ class TestExitCodes:
         # an empty sample set is rejected before any statistics are taken
         assert run_cli(tmp_path, "characterize", "--mode", "access", "--n", "0") == EXIT_DOMAIN
         assert run_cli(tmp_path, "qq", "--mode", "write", "--n", "0") == EXIT_DOMAIN
+        # --char-n 0 is an empty characterization too, not a request for the default
+        assert run_cli(tmp_path, "sweep", "--axis", "vwl", "--values", "0.6",
+                       "--mode", "access", "--char-n", "0") == EXIT_DOMAIN
+        assert run_cli(tmp_path, "compare", "--mode", "write", "--constraints", "1.6e-11",
+                       "--n", "100", "--char-n", "0") == EXIT_DOMAIN
 
     def test_unparseable_constraint_list(self, tmp_path, write_char):
         rc = run_cli(tmp_path, "yield", "--characterization", str(write_char),
@@ -221,6 +226,23 @@ class TestInputContract:
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
         if mutation == "drop-key":
             assert f"missing key '{key[-1]}'" in err
+
+    @pytest.mark.parametrize("flags, code", [
+        (("--t-lo", "1e-10"), EXIT_PARSE),
+        (("--t-hi", "1e-10"), EXIT_PARSE),
+        (("--t-lo", "0", "--t-hi", "1e-10"), EXIT_DOMAIN),
+        (("--t-lo", "1e-10", "--t-hi", "inf"), EXIT_DOMAIN),
+        (("--t-lo", "nan", "--t-hi", "1e-10"), EXIT_DOMAIN),
+        (("--t-lo", "2e-10", "--t-hi", "1e-10"), EXIT_DOMAIN),
+        (("--t-lo", "1e-10", "--t-hi", "1e-10"), EXIT_DOMAIN),  # 12 points on one time
+        (("--t-lo", "1e-10", "--t-hi", "2e-10", "--grid-points", "-1"), EXIT_DOMAIN),
+    ])
+    def test_characterize_read_range(self, tmp_path, capsys, flags, code):
+        rc = run_cli(tmp_path, "characterize", "--mode", "access", "--n", "60", *flags)
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
 
     def test_unmodified_inputs_pass(self, tmp_path):
         for name, (artifact, argv, *_) in CONTRACT_INPUTS.items():
@@ -479,6 +501,22 @@ class TestSweep:
         assert rc == EXIT_DOMAIN
         assert "vwl=0.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, per_cell", [("access", 4 * 50), ("write", 50)])
+    def test_characterization_drawn_once_per_command(self, tmp_path, monkeypatch, mode,
+                                                     per_cell):
+        # every sweep point is characterized on the same lanes, drawn once
+        name = f"draw_{mode}_samples"
+        draw, drawn = getattr(mc, name), []
+        monkeypatch.setattr(mc, name, lambda var, start, count: drawn.append((start, count))
+                            or draw(var, start, count))
+        monkeypatch.setattr(mc, "_BLOCK", 64)
+        rc = run_cli(tmp_path, "--threads", "3", "sweep", "--axis", "vwl", "--values",
+                     "0.65,0.6,0.55,0.5", "--mode", mode, "--char-n", "50",
+                     "--grid-points", "4")
+        assert rc == 0
+        indices = [i for start, count in drawn for i in range(start, start + count)]
+        assert sorted(indices) == list(range(per_cell))
+
 
 class TestQq:
     def test_access_full_curve(self, tmp_path):
@@ -574,6 +612,19 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
         if "write" in role:  # censored lanes take their own path
             assert b",inf," in outputs[0][1]
+
+    @pytest.mark.parametrize("mode", ["access", "write"])
+    def test_sweep_thread_invariance(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(mc, "_BLOCK", 64)  # several blocks per characterization
+        outputs = []
+        for threads in ("1", "3"):
+            d = tmp_path / threads
+            rc = main(["--out-dir", str(d), "--threads", threads, "sweep", "--axis", "vwl",
+                       "--values", "0.65,0.55,0.5", "--mode", mode, "--char-n", "100",
+                       "--grid-points", "5"])
+            assert rc == 0
+            outputs.append(((d / "sweep.csv").read_bytes(), read_manifest(d)["digest"]))
+        assert outputs[0] == outputs[1]
 
     def test_manifest_hashes_match_files(self, tmp_path):
         import hashlib

@@ -5,6 +5,7 @@ scheduling contract is that a sample's draw depends only on (seed, role,
 index), never on how the index range was split over threads.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -429,6 +430,32 @@ class TestCharacterizeAccess:
         b = characterize_access(default_cell, VAR, grid, n=64, threads=4)
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("mode", ["closed", "ode"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_one_pass_equals_per_point_samples(self, default_cell, monkeypatch, mode,
+                                               threads):
+        # one draw of [0, G*n) and one oracle call give the same bits as one
+        # _samples pass per grid point; short blocks put block edges inside rows
+        monkeypatch.setattr(mc, "_BLOCK", 50)
+        n, grid = 61, [7e-11, 9e-11, 1.2e-10, 1.8e-10]
+        table = characterize_access(default_cell, VAR, grid, n=n, mode=mode, threads=threads)
+        for j, t in enumerate(grid):
+            _, _, dv = mc._samples(mc._ROLE_ACCESS, default_cell, VAR, n, mode, threads, t,
+                                   base=j * n)
+            dist = estimate_delta_params(dv)
+            assert (table.mu_delta[j], table.sigma_delta[j]) == (dist.mu_delta,
+                                                                 dist.sigma_delta)
+
+    def test_lanes_replace_the_draw(self, default_cell, monkeypatch):
+        n, grid = 40, [8e-11, 1.2e-10, 1.8e-10]
+        lanes = mc.characterization_lanes("access", VAR, len(grid) * n)
+        drawn = []
+        monkeypatch.setattr(mc, "draw_access_samples", lambda *a: drawn.append(a))
+        table = characterize_access(default_cell, VAR, grid, n=n, lanes=lanes)
+        assert drawn == []
+        monkeypatch.undo()
+        assert table == characterize_access(default_cell, VAR, grid, n=n)
+
 
 # Literal draws, fixed across refactors of the sampling path (thread-count
 # invariance alone cannot catch a shifted block or a swapped stream).
@@ -491,3 +518,17 @@ class TestCharacterizeWrite:
     def test_custom_t0(self, default_cell):
         dist = characterize_write(default_cell, VAR, n=128, t0=1e-13)
         assert dist.t0 == 1e-13
+
+    @pytest.mark.parametrize("mode", ["closed", "ode"])
+    def test_lanes_replace_the_draw(self, default_cell, mode):
+        cell = dataclasses.replace(default_cell, vwl=0.55)  # no lane censored
+        lanes = mc.characterization_lanes("write", VAR, 300, threads=3)
+        got = characterize_write(cell, VAR, n=300, mode=mode, lanes=lanes)
+        assert got == characterize_write(cell, VAR, n=300, mode=mode)
+
+    def test_lane_arguments_are_checked(self):
+        with pytest.raises(DomainError, match="role"):
+            mc.characterization_lanes("read", VAR, 10)
+        for n in (0, -5):
+            with pytest.raises(DomainError, match="n must be >= 1"):
+                mc.characterization_lanes("write", VAR, n)

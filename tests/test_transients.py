@@ -153,6 +153,19 @@ class TestCellConfig:
         with pytest.raises(ModelInapplicableError):
             cell.w_trip
 
+    def test_trip_integral_on_first_read(self, default_cell, monkeypatch):
+        # a read-only cell never pays for the trip integral; a write cell pays once
+        calls = []
+        simpson = transients._adaptive_simpson
+        monkeypatch.setattr(transients, "_adaptive_simpson",
+                            lambda *args: calls.append(args) or simpson(*args))
+        cell = dataclasses.replace(default_cell, vwl=0.6)
+        assert delta_v_closed(cell, 0.38, 1e-10) > 0.0 and calls == []
+        w = cell.w_trip
+        assert len(calls) == 1
+        assert write_time_closed(cell, 0.38) > 0.0 and cell.w_trip == w and len(calls) == 1
+        assert w == simpson(*calls[0])
+
 
 class TestAssist:
     def test_validation(self):

@@ -5,6 +5,7 @@ normal, exponential of a squared normal) so every comparison has a ground
 truth that does not depend on the circuit code.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sramyield import yieldmodel
 from sramyield.errors import DegenerateStatisticsError, DomainError, ParseError
-from sramyield.mc import wilson_ci
+from sramyield.mc import characterize_access, wilson_ci
 from sramyield.yieldmodel import (
     DEFAULT_T0,
     FOUR_SIGMA_PF,
@@ -229,6 +231,58 @@ class TestAccessBer:
         pf = access_fail_prob_ber(DELTA, OFFSET)
         assert lo <= pf <= hi
 
+    def test_fixed_rule_matches_quad_on_sweep_pairs(self, default_cell, default_variation):
+        # (mu, sigma) pairs along the read grids of a vwl sweep, as `sweep`
+        # and `yield` evaluate them: the fixed rule stays within 1e-14 of quad
+        # and never needs the fallback
+        offset = default_variation.offset
+        pairs = []
+        for vwl in (0.65, 0.55, 0.45):
+            cell = dataclasses.replace(default_cell, vwl=vwl)
+            grid = auto_read_grid(cell, offset)
+            table = characterize_access(cell, default_variation, grid, n=200)
+            pairs += [table.distribution_at(t) for t in np.geomspace(grid[0], grid[-1], 15)]
+        got = access_fail_prob_ber(pairs, offset)
+        want = np.array([yieldmodel._ber_quad(d.mu_delta, d.sigma_delta, offset) for d in pairs])
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got - want) / want) < 1e-14
+
+    @pytest.mark.parametrize("offset", [
+        OffsetVoltageDist(mu_vos=0.0, sigma_vos=0.03),  # window straddles 0 V
+        OffsetVoltageDist(mu_vos=0.002, sigma_vos=0.01),
+        OffsetVoltageDist(mu_vos=0.07, sigma_vos=0.003),  # wholly above 0 V
+        OffsetVoltageDist(mu_vos=0.3, sigma_vos=0.01),
+    ])
+    def test_fixed_rule_matches_quad_on_any_window(self, offset, monkeypatch):
+        dists = [DeltaVDistribution(mu, sigma) for mu in (0.1, 0.25, 0.3, 0.4)
+                 for sigma in (0.012, 0.02)]
+        want = [yieldmodel._ber_quad(d.mu_delta, d.sigma_delta, offset) for d in dists]
+        fallbacks = []
+        monkeypatch.setattr(yieldmodel, "_ber_quad", lambda *a: fallbacks.append(a) or 0.0)
+        got = access_fail_prob_ber(dists, offset)
+        assert fallbacks == []
+        # quad itself only promises 1e-10 relative
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_window_wholly_below_zero_is_exactly_zero(self):
+        below = OffsetVoltageDist(mu_vos=-0.1, sigma_vos=0.01)
+        assert access_fail_prob_ber(DELTA, below) == 0.0
+        assert access_fail_prob_ber([DELTA, DELTA], below).tolist() == [0.0, 0.0]
+
+    def test_steep_pair_falls_back_to_quad(self, monkeypatch):
+        # a tiny sigma_delta puts the whole CDF step inside one panel, where
+        # the 16- and 32-node rules disagree: that pair, and only that one,
+        # goes to quad
+        offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
+        steep = DeltaVDistribution(mu_delta=0.2, sigma_delta=1e-4)
+        calls = []
+        ber_quad = yieldmodel._ber_quad
+        monkeypatch.setattr(yieldmodel, "_ber_quad",
+                            lambda *a: calls.append(a) or ber_quad(*a))
+        got = access_fail_prob_ber([DELTA, steep], offset)
+        assert calls == [(0.2, 1e-4, offset)]
+        assert got[1] == ber_quad(0.2, 1e-4, offset)
+
     def test_against_joint_monte_carlo(self):
         pf = access_fail_prob_ber(DELTA, OFFSET)
         rng = np.random.default_rng(424242)
@@ -356,6 +410,17 @@ class TestCharacterization:
         assert table.ber_at(t, OFFSET) == access_fail_prob_ber(
             table.distribution_at(t), OFFSET
         )
+
+    def test_scalar_ber_equals_array_element(self):
+        # each value is summed node by node, so it is the same bits alone
+        # or in a call of any length
+        table = self.synthetic_table()
+        times = np.geomspace(table.t_read[0], table.t_read[-1], 7)
+        for offset in (OFFSET, OffsetVoltageDist(mu_vos=0.0, sigma_vos=0.03)):
+            scalar = [table.ber_at(t, offset) for t in times]
+            for k in (1, 2, 7):
+                assert table.ber_at(times[:k], offset).tolist() == scalar[:k]
+            assert table.ber_at(times[::-1], offset).tolist() == scalar[::-1]
 
     def test_round_trip(self):
         table = self.synthetic_table()
