@@ -549,10 +549,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args._argv = argv
     log = _Logger(args.json_logs)
-    run = Run(args, log)
-    if args.seed is not None:
-        run.seed = args.seed
     try:
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
+        run = Run(args, log)
+        if args.seed is not None:
+            run.seed = args.seed
         args.func(args, run, log)
         run.finish()
     except tuple(_EXIT_CODES) as exc:

@@ -317,6 +317,20 @@ def delta_v_closed(cell, vth_n, t_read):
     return float(dv) if dv.ndim == 0 else dv
 
 
+def read_time_closed(cell, vth_n, dv):
+    """Read time at which delta_v_closed reaches dv in (0, vdd): its exact inverse,
+    t = c_blb/(i0*e^p) * expm1(z*dv)/(z*e^(z*vdd)), or c_blb*dv/(i0*e^p) at zero
+    DIBL. Overflow gives a time of 0 or inf. Accepts scalar or array vth_n / dv.
+    """
+    nm = cell.nmos
+    vt = thermal_voltage(cell.temperature_c)
+    p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    z = nm.dibl / (nm.n * vt)
+    with np.errstate(over="ignore", divide="ignore"):
+        ramp = dv if z == 0.0 else np.expm1(z * dv) / (z * np.exp(z * cell.vdd))
+        return cell.c_blb / (nm.i0 * np.exp(p)) * ramp
+
+
 def delta_v_linearized(cell, vth_n, t_read, p0=None):
     """Bitline differential with the second gate polynomial frozen at p0.
 

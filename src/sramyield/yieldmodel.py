@@ -25,7 +25,7 @@ from scipy.special import ndtr, ndtri
 
 from .artifacts import parsing, read_json, write_csv, write_json
 from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
-from .transients import _GAUSS, delta_v_closed
+from .transients import _GAUSS, read_time_closed
 
 SINGLE_BRANCH_RATIO = 4.0
 FOUR_SIGMA_PF = 3.17e-5
@@ -356,27 +356,20 @@ class AccessCharacterization:
         object.__setattr__(self, "t_read", tuple(float(v) for v in t))
         object.__setattr__(self, "mu_delta", tuple(float(v) for v in mu))
         object.__setattr__(self, "sigma_delta", tuple(float(v) for v in sg))
+        table = np.column_stack([mu, sg])
         if t.size == 1:
             # Degenerate single-row table: the range check pins queries to the
-            # one characterized time, so constant "interpolants" are exact.
-            object.__setattr__(self, "_mu_interp", lambda _t, _v=float(mu[0]): _v)
-            object.__setattr__(self, "_sigma_interp", lambda _t, _v=float(sg[0]): _v)
+            # one characterized time, so a constant "interpolant" is exact.
+            object.__setattr__(self, "_interp", lambda _t, _row=table[0]: _row)
         else:
-            object.__setattr__(self, "_mu_interp", PchipInterpolator(t, mu, extrapolate=False))
-            object.__setattr__(self, "_sigma_interp", PchipInterpolator(t, sg, extrapolate=False))
-
-    def _check_range(self, t):
-        lo, hi = self.t_read[0], self.t_read[-1]
-        if not lo <= t <= hi:
-            raise DomainError(
-                f"t_read {t!r} outside the characterized grid [{lo!r}, {hi!r}]"
-            )
+            object.__setattr__(self, "_interp", PchipInterpolator(t, table, extrapolate=False))
 
     def distribution_at(self, t):
-        self._check_range(float(t))
-        return DeltaVDistribution(
-            mu_delta=float(self._mu_interp(t)), sigma_delta=float(self._sigma_interp(t))
-        )
+        t, lo, hi = float(t), self.t_read[0], self.t_read[-1]
+        if not lo <= t <= hi:
+            raise DomainError(f"t_read {t!r} outside the characterized grid [{lo!r}, {hi!r}]")
+        mu, sigma = self._interp(t)
+        return DeltaVDistribution(mu_delta=float(mu), sigma_delta=float(sigma))
 
     def ber_at(self, t, offset):
         """BER at read time t, or an array of BERs at each time of a sequence."""
@@ -444,34 +437,24 @@ def invert_for_constraint(dist, target_pf, offset=None):
 def auto_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
     """Geometric t_read grid bracketing the useful BER range.
 
-    Endpoints come from inverting the nominal closed-form discharge at
-    offset quantiles mu + z*sigma: the low end sits where the BER is still
-    large (around 1e-2) and the high end beyond the 4-sigma target, so
-    constraint inversion stays inside the grid.
+    Endpoints are the exact inverse of the nominal closed-form discharge
+    (read_time_closed) at offset quantiles mu + z*sigma: the low end sits
+    where the BER is still large (around 1e-2) and the high end beyond the
+    4-sigma target, so constraint inversion stays inside the grid.
     """
     if points < 2:
         raise DomainError("grid needs at least 2 points")
-    nominal = cell.nmos.vth_nominal
-
-    def t_for(dv_target):
-        lo, hi = 1e-15, 1e-15
-        while delta_v_closed(cell, nominal, hi) < dv_target:
-            hi *= 2.0
-            if hi > 1.0:
-                raise DomainError(f"cannot reach delta_v {dv_target!r} V on this cell")
-        # xtol must undercut the picosecond root scale or it dominates rtol
-        return brentq(
-            lambda t: delta_v_closed(cell, nominal, t) - dv_target,
-            lo, hi, xtol=1e-30, rtol=1e-15,
-        )
-
     dv_lo = offset.mu_vos + z_lo * offset.sigma_vos
     dv_hi = offset.mu_vos + z_hi * offset.sigma_vos
     if not 0.0 < dv_lo < dv_hi < cell.vdd:
         raise DomainError(
             f"offset quantile window [{dv_lo!r}, {dv_hi!r}] V does not fit below vdd"
         )
-    return np.geomspace(t_for(dv_lo), t_for(dv_hi), points)
+    ends = read_time_closed(cell, cell.nmos.vth_nominal, np.array([dv_lo, dv_hi]))
+    for dv, t in zip((dv_lo, dv_hi), ends):
+        if not 0.0 < t <= 1.0:  # also rejects NaN, inf and underflow to 0
+            raise DomainError(f"cannot reach delta_v {dv!r} V on this cell")
+    return np.geomspace(*ends, points)
 
 
 # -- Q-Q diagnostics --------------------------------------------------------------

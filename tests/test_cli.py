@@ -18,6 +18,7 @@ import pytest
 from sramyield import mc
 from sramyield.cli import EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_FIT, EXIT_PARSE, main
 from sramyield.mc import run_access_mc, run_write_mc
+from sramyield.transients import delta_v_closed, read_cell_json
 from sramyield.yieldmodel import (
     WriteTimeDistribution,
     write_distribution_json,
@@ -244,6 +245,18 @@ class TestInputContract:
         assert "Traceback" not in err
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, tmp_path, capsys, monkeypatch, threads):
+        drawn = []
+        monkeypatch.setattr(mc, "draw_access_samples", lambda *args: drawn.append(args))
+        rc = run_cli(tmp_path, "--threads", threads, "mc", "--mode", "access", "--n", "100",
+                     "--t-read", "1e-10")
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: --threads must be >= 1, got {threads}"]
+        assert drawn == [] and not (tmp_path / "mc.json").exists()
+
     def test_unmodified_inputs_pass(self, tmp_path):
         for name, (artifact, argv, *_) in CONTRACT_INPUTS.items():
             path = tmp_path / f"{name}.json"
@@ -354,6 +367,36 @@ class TestCharacterize:
         assert rc == 0
         rows = json.loads((single / "characterization.json").read_text())["rows"]
         assert len(rows) == 1
+
+    @staticmethod
+    def cell_file(path, **fields):
+        path.write_text(json.dumps(dict(bundled("default_cell.json"), **fields)))
+        return str(path)
+
+    def test_sub_femtosecond_discharge(self, tmp_path, default_variation):
+        cell = self.cell_file(tmp_path / "cell.json", c_blb=1e-21)
+        rc = run_cli(tmp_path, "characterize", "--mode", "access", "--n", "60", "--cell", cell)
+        assert rc == 0
+        times = [r["t_read"] for r in
+                 json.loads((tmp_path / "characterization.json").read_text())["rows"]]
+        assert times[-1] < 1e-17
+        tiny = read_cell_json(cell)
+        off = default_variation.offset
+        for t, z in ((times[0], 1.6), (times[-1], 5.2)):
+            dv = delta_v_closed(tiny, tiny.nmos.vth_nominal, t)
+            assert dv == pytest.approx(off.mu_vos + z * off.sigma_vos, rel=1e-13, abs=0)
+        rc = run_cli(tmp_path / "sweep", "sweep", "--axis", "vwl", "--values", "0.6,0.55",
+                     "--mode", "access", "--char-n", "60", "--cell", cell)
+        assert rc == 0
+
+    def test_unreachable_read_window(self, tmp_path, capsys):
+        cell = self.cell_file(tmp_path / "cell.json", c_blb=1.0)
+        rc = run_cli(tmp_path, "characterize", "--mode", "access", "--n", "60", "--cell", cell)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "cannot reach delta_v" in errors[0]
+        assert errors[0].endswith("V on this cell")
 
     def test_write_moments(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "characterize", "--mode", "write", "--n", "128")

@@ -18,7 +18,13 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from sramyield import transients
-from sramyield.devices import DeviceParams, _current_proposed, gate_polynomial, thermal_voltage
+from sramyield.devices import (
+    EXP_ARG_LIMIT,
+    DeviceParams,
+    _current_proposed,
+    gate_polynomial,
+    thermal_voltage,
+)
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
 from sramyield.transients import (
     AssistConfig,
@@ -31,6 +37,7 @@ from sramyield.transients import (
     delta_v_ode,
     load_default_cell,
     read_cell_json,
+    read_time_closed,
     write_cell_json,
     write_time_closed,
     write_time_ode,
@@ -284,6 +291,35 @@ class TestDeltaVClosed:
         assert dv.shape == (3,)
         assert dv[0] == 0.0
         assert np.all(np.diff(dv) > 0.0)
+
+
+class TestReadTimeClosed:
+    @pytest.mark.parametrize("dibl", [0.02, 0.0, -0.02])
+    def test_round_trip(self, quiet_nmos, dibl):
+        cell = make_cell(dataclasses.replace(quiet_nmos, dibl=dibl))
+        for vth in (0.33, 0.38, 0.43):
+            for dv in (1e-3, 0.05, 0.2, 0.45):
+                t = read_time_closed(cell, vth, dv)
+                assert delta_v_closed(cell, vth, t) == pytest.approx(dv, rel=1e-13, abs=0)
+
+    def test_round_trip_with_clipped_polynomial(self, quiet_nmos):
+        nm = dataclasses.replace(quiet_nmos, k2=0.0)
+        cell = make_cell(nm)
+        vt = thermal_voltage(cell.temperature_c)
+        for vth in (-5.0, 6.0):  # gate polynomial beyond +60 and below -60
+            assert abs(gate_polynomial(nm, cell.vwl, vt, vth)) > EXP_ARG_LIMIT
+            t = read_time_closed(cell, vth, 0.1)
+            assert delta_v_closed(cell, vth, t) == pytest.approx(0.1, rel=1e-13, abs=0)
+
+    def test_array_matches_scalar(self, default_cell):
+        vth = np.array([0.33, 0.38, 0.43])
+        t = read_time_closed(default_cell, vth, 0.1)
+        assert t.tolist() == [read_time_closed(default_cell, v, 0.1) for v in vth]
+        assert np.all(np.diff(t) > 0.0)
+
+    def test_golden_default_cell(self, default_cell):
+        t = read_time_closed(default_cell, default_cell.nmos.vth_nominal, DEFAULT_DV_CLOSED)
+        assert t == pytest.approx(DEFAULT_T_READ, rel=1e-13, abs=0)
 
 
 class TestDeltaVLinearized:

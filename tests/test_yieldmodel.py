@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
-from sramyield import yieldmodel
+from sramyield import transients, yieldmodel
 from sramyield.errors import DegenerateStatisticsError, DomainError, ParseError
 from sramyield.mc import characterize_access, wilson_ci
+from sramyield.transients import delta_v_closed
 from sramyield.yieldmodel import (
     DEFAULT_T0,
     FOUR_SIGMA_PF,
@@ -401,8 +404,12 @@ class TestCharacterization:
         )
         dist = table.distribution_at(1e-10)
         assert (dist.mu_delta, dist.sigma_delta) == (0.3, 0.01)
+        assert table.ber_at([1e-10, 1e-10], OFFSET).tolist() == [
+            access_fail_prob_ber(dist, OFFSET)] * 2
         with pytest.raises(DomainError, match="outside"):
             table.distribution_at(1.1e-10)
+        with pytest.raises(DomainError, match="outside"):
+            table.ber_at([1e-10, 1.1e-10], OFFSET)
 
     def test_ber_at_delegates(self):
         table = self.synthetic_table()
@@ -421,6 +428,25 @@ class TestCharacterization:
             for k in (1, 2, 7):
                 assert table.ber_at(times[:k], offset).tolist() == scalar[:k]
             assert table.ber_at(times[::-1], offset).tolist() == scalar[::-1]
+
+    def test_one_pchip_equals_two(self):
+        # the 2-column interpolant repeats the per-moment ones bit for bit
+        t = np.geomspace(5e-11, 2e-10, 12)
+        mu = 0.22 + 0.08 * np.sqrt(t / t[-1]) + 0.004 * np.sin(np.arange(12))
+        sg = 0.012 - 0.002 * np.cos(np.arange(12))  # not monotone: flat PCHIP slopes
+        table = AccessCharacterization(t_read=tuple(t), mu_delta=tuple(mu), sigma_delta=tuple(sg))
+        mu_of = PchipInterpolator(t, mu, extrapolate=False)
+        sg_of = PchipInterpolator(t, sg, extrapolate=False)
+        times = np.concatenate([t, np.geomspace(t[0], t[-1], 50)])
+
+        def separate(v):
+            return DeltaVDistribution(mu_delta=float(mu_of(v)), sigma_delta=float(sg_of(v)))
+
+        for v in times:
+            assert table.distribution_at(v) == separate(v)
+            assert table.ber_at(v, OFFSET) == access_fail_prob_ber(separate(v), OFFSET)
+        assert table.ber_at(times, OFFSET).tolist() == access_fail_prob_ber(
+            [separate(v) for v in times], OFFSET).tolist()
 
     def test_round_trip(self):
         table = self.synthetic_table()
@@ -483,17 +509,56 @@ class TestInversion:
             invert_for_constraint(OFFSET, 0.5)
 
 
+def brentq_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
+    """Reference grid: the nominal closed discharge root-found by doubling and brentq."""
+    nominal = cell.nmos.vth_nominal
+
+    def t_for(dv_target):
+        lo, hi = 1e-15, 1e-15
+        while delta_v_closed(cell, nominal, hi) < dv_target:
+            hi *= 2.0
+        return brentq(lambda t: delta_v_closed(cell, nominal, t) - dv_target,
+                      lo, hi, xtol=1e-30, rtol=1e-15)
+
+    return np.geomspace(t_for(offset.mu_vos + z_lo * offset.sigma_vos),
+                        t_for(offset.mu_vos + z_hi * offset.sigma_vos), points)
+
+
 class TestAutoReadGrid:
     def test_endpoints_hit_offset_quantiles(self, default_cell):
-        from sramyield.transients import delta_v_closed
-
         grid = auto_read_grid(default_cell, OFFSET, points=12)
         assert grid.shape == (12,)
         nominal = default_cell.nmos.vth_nominal
         dv_lo = OFFSET.mu_vos + 1.6 * OFFSET.sigma_vos
         dv_hi = OFFSET.mu_vos + 5.2 * OFFSET.sigma_vos
-        assert delta_v_closed(default_cell, nominal, grid[0]) == pytest.approx(dv_lo, rel=1e-9, abs=0)
-        assert delta_v_closed(default_cell, nominal, grid[-1]) == pytest.approx(dv_hi, rel=1e-9, abs=0)
+        assert delta_v_closed(default_cell, nominal, grid[0]) == pytest.approx(dv_lo, rel=1e-13, abs=0)
+        assert delta_v_closed(default_cell, nominal, grid[-1]) == pytest.approx(dv_hi, rel=1e-13, abs=0)
+
+    def test_ends_match_root_finder_on_vwl_sweep(self, default_cell, default_variation):
+        for vwl in np.linspace(0.65, 0.45, 81):
+            cell = dataclasses.replace(default_cell, vwl=vwl)
+            grid = auto_read_grid(cell, default_variation.offset, points=12)
+            ref = brentq_read_grid(cell, default_variation.offset, points=12)
+            assert np.all(np.abs(grid[[0, -1]] / ref[[0, -1]] - 1.0) <= 1e-14), vwl
+
+    def test_no_forward_discharge_calls(self, default_cell, monkeypatch):
+        calls = {"delta_v_closed": 0, "read_time_closed": 0}
+        for module, name in ((transients, "delta_v_closed"), (yieldmodel, "read_time_closed")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        auto_read_grid(default_cell, OFFSET, points=12)
+        assert calls == {"delta_v_closed": 0, "read_time_closed": 1}  # both ends at once
+        assert not hasattr(yieldmodel, "delta_v_closed")
+
+    def test_unreachable_end_is_domain_error(self, default_cell):
+        slow = dataclasses.replace(default_cell, c_blb=1.0)  # ends far past 1 s
+        strong = dataclasses.replace(default_cell.nmos, i0=1.0)
+        instant = dataclasses.replace(default_cell, nmos=strong, c_blb=5e-324)  # t underflows
+        for cell in (slow, instant):
+            with pytest.raises(DomainError, match="cannot reach delta_v"):
+                auto_read_grid(cell, OFFSET, points=4)
 
     def test_geometric_spacing(self, default_cell):
         grid = auto_read_grid(default_cell, OFFSET, points=9)
