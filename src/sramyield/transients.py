@@ -7,9 +7,11 @@ flavors: a closed form derived from the exponential current model, and the
 exact solution of the full model's transient (the `ode` oracle) that serves
 as the reference. The full-model ODEs separate because a sampled threshold
 enters each current only through exp(p): every read lane runs along one
-shared trajectory in scaled time, and every write time is a 1-D integral.
-Their quadrature tables depend only on the cell, so results are identical
-across runs and thread counts.
+shared trajectory in scaled time, and every write time is a 1-D integral
+W(r) of the inverse net drive, r being the sampled contention ratio. The
+closed write form is that same integral at the nominal ratio, scaled by the
+sampled access prefactor. Quadrature tables depend only on the cell, so
+results are identical across runs and thread counts.
 
 All vth arguments are per-sample threshold voltages; vectorized inputs are
 evaluated lane-by-lane with no cross-lane coupling.
@@ -37,7 +39,6 @@ from .errors import DomainError, ModelInapplicableError, require_finite
 
 TRIP_RATIO_BOUNDS = (0.40, 0.62)
 BOOST_HEADROOM = 0.2
-_SIMPSON_REL_TOL = 1e-10
 _READ_PANELS = 512  # s = vdd - dv from vdd down to vdd * 2**-52, geometric
 _NEWTON_STEPS = 3
 _WRITE_PANELS = 8  # per segment of the write path
@@ -64,27 +65,12 @@ def _gauss_legendre(order):
 _GAUSS = {order: _gauss_legendre(order) for order in (8, 16, 32)}
 
 
-def _adaptive_simpson(f, a, b, rel_tol):
-    """Adaptive Simpson quadrature with Richardson acceptance test."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = rel_tol * max(abs(whole), 1e-300)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= 48 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+def _composite_rule(edges, order):
+    """Flattened (nodes, weights) of the `order`-node Gauss-Legendre rule on
+    every panel between consecutive edges."""
+    x, w = _GAUSS[order]
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
 
 
 @dataclass(frozen=True)
@@ -92,10 +78,11 @@ class CellConfig:
     """Voltages, capacitances, and device constants of one 6T cell.
 
     `vwl` and `vddc` are the effective wordline and cell-supply voltages
-    after any assist; `apply_assist` produces modified copies. The closed
-    write model is checked here (drain factors finite, pull-down ahead on
-    the whole path); its trip integral is computed on the first `w_trip`
-    read, so cells that only serve reads never pay for it.
+    after any assist; `apply_assist` produces modified copies. Construction
+    checks only that the drain factors stay finite; the write integral at
+    the nominal contention ratio, and the check that the pull-down stays
+    ahead on the whole path, wait for the first `w_trip` read, so cells that
+    only serve reads never pay for them.
     """
 
     nmos: DeviceParams
@@ -141,6 +128,9 @@ class CellConfig:
 
     # -- closed write model ---------------------------------------------------
     def _check_write_model(self):
+        """Sets beta0 and rejects drain factors that overflow on the write path
+        (the access path would overflow with them). Each factor is monotone in
+        vds, so the ends of its vds range bound it."""
         vt = thermal_voltage(self.temperature_c)
         nm, pm = self.nmos, self.pmos
         p_n0 = gate_polynomial(nm, self.vwl, vt)
@@ -148,45 +138,49 @@ class CellConfig:
         beta0 = math.exp(min(max(p_p0 - p_n0, -EXP_ARG_LIMIT), EXP_ARG_LIMIT))
         object.__setattr__(self, "beta0", beta0)
 
-        with np.errstate(over="ignore"):
-            grid = np.linspace(self.v_trip, self.vdd, 1025)
-            pull_down = nm.i0 * np.exp(nm.dibl * grid / (nm.n * vt))
-            pull_up = beta0 * pm.i0 * np.exp(pm.dibl * (self.vddc - grid) / (pm.n * vt))
-        for name, dev, values in (("nmos", nm, pull_down), ("pmos", pm, pull_up)):
-            if not np.all(np.isfinite(values)):
+        ends = (self.v_trip, self.vdd)
+        for name, dev, scale, vds in (("nmos", nm, 1.0, ends),
+                                      ("pmos", pm, beta0, [self.vddc - v for v in ends])):
+            try:
+                finite = all(math.isfinite(scale * dev.i0 * math.exp(dev.dibl * x / (dev.n * vt)))
+                             for x in vds)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise DomainError(
                     f"{name} drain-bias factor i0*exp(lambda*vds/(n*vt)) overflows "
                     f"(i0 = {dev.i0!r}, lambda = {dev.dibl!r})"
                 )
 
-        net = pull_down - pull_up
-        error = None
-        if self.v_trip >= self.vdd:
-            error = f"v_trip {self.v_trip} is not below the write start voltage vdd {self.vdd}"
-        elif not np.min(net) > 0.0:
-            worst = grid[int(np.argmin(net))]
-            error = (
-                "pull-up overpowers pull-down in the closed write model "
-                f"near v_q = {worst:.4f} V; closed write times are undefined"
-            )
-        object.__setattr__(self, "_write_error", error)
-
     @cached_property
     def w_trip(self):
-        """Trip integral of the closed write model (s*A/F units), computed once."""
-        if self._write_error is not None:
-            raise ModelInapplicableError(self._write_error)
-        vt = thermal_voltage(self.temperature_c)
-        nm, pm, beta0 = self.nmos, self.pmos, self.beta0
+        """W(beta0), the write integral of dv / (h_n - beta0*h_p) over
+        [v_trip, vdd] (V/A), computed once.
 
-        def net_scale(v):
-            pull_down = nm.i0 * math.exp(nm.dibl * v / (nm.n * vt))
-            pull_up = beta0 * pm.i0 * math.exp(pm.dibl * (self.vddc - v) / (pm.n * vt))
-            return pull_down - pull_up
-
-        return _adaptive_simpson(
-            lambda v: 1.0 / net_scale(v), self.v_trip, self.vdd, _SIMPSON_REL_TOL
-        )
+        One _drives call covers a 1025-point grid, on which the net drive must
+        stay positive, and the nodes of 8- and 16-node composite rules; where
+        the two rules disagree, adaptive quadrature decides.
+        """
+        if not self.v_trip < self.vdd:
+            raise ModelInapplicableError(
+                f"v_trip {self.v_trip} is not below the write start voltage vdd {self.vdd}")
+        cuts = [self.vddc] if self.vddc < self.vdd else []
+        (v8, w8), (v16, w16) = (_composite_rule(_write_edges(self, cuts), order)
+                                for order in (8, 16))
+        v = np.concatenate([np.linspace(self.v_trip, self.vdd, 1025), v8, v16])
+        h_n, h_p = _drives(self, v)
+        net = h_n - self.beta0 * h_p
+        if not np.min(net) > 0.0:
+            raise ModelInapplicableError(
+                "pull-up overpowers pull-down in the closed write model "
+                f"near v_q = {v[int(np.argmin(net))]:.4f} V; closed write times are undefined"
+            )
+        split = v.size - w16.size
+        coarse = np.add.accumulate(w8 / net[split - w8.size:split])[-1]
+        total = np.add.accumulate(w16 / net[split:])[-1]
+        if not abs(total - coarse) <= _WRITE_REL_TOL * total:
+            total = _trip_quad(self, self.beta0, cuts)
+        return float(total)
 
     # -- serialization --------------------------------------------------------
     def to_dict(self):
@@ -400,39 +394,63 @@ def delta_v_ode(cell, vth_n, t_read):
 # -- write transition ----------------------------------------------------------
 
 def write_time_closed(cell, vth_n):
-    """Minimum write time, closed form: c_q * exp(-p_n) * w(v_trip).
+    """Minimum write time, closed form: c_q * exp(-p_n) * W(beta0).
 
-    The trip integral w and the contention ratio beta0 are frozen at nominal
-    thresholds, so only the access-transistor polynomial varies per sample.
+    This is write_time_ode's integral with the contention ratio r frozen at
+    its nominal value beta0 (CellConfig.w_trip), so only the access-transistor
+    polynomial varies per sample and at nominal thresholds the two agree.
     Raises ModelInapplicableError when the frozen pull-up overpowers the
     pull-down anywhere on the integration path.
     """
     w = cell.w_trip
     nm = cell.nmos
     vt = thermal_voltage(cell.temperature_c)
-    p_n = np.clip(
-        gate_polynomial(nm, cell.vwl, vt, np.asarray(vth_n, dtype=float)),
-        -EXP_ARG_LIMIT,
-        EXP_ARG_LIMIT,
-    )
+    p_n = np.clip(gate_polynomial(nm, cell.vwl, vt, np.asarray(vth_n, dtype=float)),
+                  -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
     t = cell.c_q * np.exp(-p_n) * w
     return float(t) if np.ndim(t) == 0 else t
 
 
-def _write_edges(cell, cuts, v_star):
+def _write_edges(cell, cuts, v_star=None):
     """Panel edges on the write path [v_trip, vdd].
 
     _WRITE_PANELS equal panels between consecutive cuts (vddc, the kink of
-    h_p, and v*), plus edges halving their distance to v*, where the
-    integrand of a lane near r_crit peaks.
+    h_p, and for the ODE lanes v*), plus, given v*, edges halving their
+    distance to it, where the integrand of a lane near r_crit peaks.
     """
     ends = [cell.v_trip, *sorted(cuts), cell.vdd]
+    edges = np.concatenate([np.linspace(a, b, _WRITE_PANELS + 1)[:-1]
+                            for a, b in zip(ends[:-1], ends[1:])] + [[cell.vdd]])
+    if v_star is None:
+        return edges
     width = (cell.vdd - cell.v_trip) / _WRITE_PANELS
     graded = v_star + np.outer(width * np.exp2(-np.arange(1, _WRITE_GRADING + 1)), [-1.0, 1.0])
-    edges = np.unique(np.concatenate(
-        [np.linspace(a, b, _WRITE_PANELS + 1) for a, b in zip(ends[:-1], ends[1:])]
-        + [graded.ravel()]))
+    edges = np.unique(np.concatenate([edges, graded.ravel()]))
     return edges[(edges >= cell.v_trip) & (edges <= cell.vdd)]
+
+
+def _drives(cell, v):
+    """(h_n, h_p) on the write path: the access and pull-up currents at p = 0
+    (vth = vgs makes each gate polynomial exactly 0)."""
+    vt = thermal_voltage(cell.temperature_c)
+    vds_p = np.maximum(cell.vddc - v, 0.0)
+    return (_current_proposed(cell.nmos, cell.vwl, v, vt, cell.vwl),
+            _current_proposed(cell.pmos, cell.vddc, vds_p, vt, cell.vddc))
+
+
+def _trip_quad(cell, ratio, cuts):
+    """W(ratio) by adaptive quadrature split at `cuts`, where fixed rules disagree.
+
+    full_output keeps quad's roundoff warning near r_crit off stderr (and,
+    unlike catch_warnings, is thread-safe); the cancellation in h_n - r*h_p
+    limits the value there either way.
+    """
+    def integrand(v):
+        h_n, h_p = _drives(cell, v)
+        return 1.0 / (h_n - ratio * h_p)
+
+    return quad(integrand, cell.v_trip, cell.vdd, points=cuts or None,
+                epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200, full_output=1)[0]
 
 
 def write_time_ode(cell, vth_n, vth_p, t_max):
@@ -440,8 +458,8 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
 
     From v_q = vdd the node falls at (i_m2 - i_m4)/c_q. Each current is
     exp(p) times its value at p = 0 (h_n, h_p), so the crossing time
-    separates: t = c_q*exp(-p_n) * integral over [v_trip, vdd] of
-    dv / (h_n(v) - r*h_p(v)) with r = exp(p_p - p_n). h_p has a kink at
+    separates: t = c_q*exp(-p_n) * W(r), W(r) the integral over [v_trip, vdd]
+    of dv / (h_n(v) - r*h_p(v)) with r = exp(p_p - p_n). h_p has a kink at
     vddc, so the path is split there. Returns math.inf for censored samples:
     r >= r_crit = min h_n/h_p on the path (the pull-up holds the node above
     v_trip for ever, or wins outright at the start), or a crossing after
@@ -458,43 +476,28 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     p_p = np.clip(gate_polynomial(pm, cell.vddc, vt, p_b.ravel()), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
     r = np.exp(p_p - p_n)
 
-    def drives(v):  # (h_n, h_p); vth = vgs makes each gate polynomial exactly 0
-        vds_p = np.clip(cell.vddc - v, 0.0, None)
-        return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl),
-                _current_proposed(pm, cell.vddc, vds_p, vt, cell.vddc))
-
-    def integrand(v, ratio):
-        h_n, h_p = drives(v)
-        return 1.0 / (h_n - ratio * h_p)
-
-    r_crit, v_star = _critical_ratio(cell, drives)
+    r_crit, v_star = _critical_ratio(cell)
     live = r < r_crit
     r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
     cuts = [v for v in (cell.vddc, v_star) if cell.v_trip < v < cell.vdd]
     edges = _write_edges(cell, cuts, v_star)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     sums = []
     for order in (8, 16):
-        x, w = _GAUSS[order]
-        h_n, h_p = drives(np.ravel(mid[:, None] + half[:, None] * x))
-        w = np.ravel(half[:, None] * w)
+        nodes, w = _composite_rule(edges, order)
+        h_n, h_p = _drives(cell, nodes)
         acc = np.zeros(r.shape)
         for wk, nk, pk in zip(w, h_n, h_p):
             acc += wk / (nk - r_live * pk)
         sums.append(acc)
     coarse, total = sums
-    # full_output keeps quad's roundoff warning near r_crit off stderr (and,
-    # unlike catch_warnings, is thread-safe); the cancellation in
-    # h_n - r*h_p limits the value there either way.
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        total[i] = quad(integrand, cell.v_trip, cell.vdd, args=(r[i],), points=cuts or None,
-                        epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200, full_output=1)[0]
+        total[i] = _trip_quad(cell, r[i], cuts)
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t
 
 
-def _critical_ratio(cell, drives):
+def _critical_ratio(cell):
     """(r_crit, v*): the minimum of h_n/h_p on the write path and where it is.
 
     A grid minimum only bounds r_crit from above, so the grid argmin is
@@ -502,9 +505,9 @@ def _critical_ratio(cell, drives):
     """
     grid = np.linspace(cell.v_trip, min(cell.vdd, cell.vddc), 1025)
     with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
-        ratio = np.divide(*drives(grid))
+        ratio = np.divide(*_drives(cell, grid))
     i = int(np.argmin(ratio))
-    best = minimize_scalar(lambda v: float(np.divide(*drives(v))), method="bounded",
+    best = minimize_scalar(lambda v: float(np.divide(*_drives(cell, v))), method="bounded",
                            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
                            options={"xatol": 1e-15})
     if best.fun < ratio[i]:

@@ -25,7 +25,7 @@ from scipy.special import ndtr, ndtri
 
 from .artifacts import parsing, read_json, write_csv, write_json
 from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
-from .transients import _GAUSS, read_time_closed
+from .transients import _composite_rule, read_time_closed
 
 SINGLE_BRANCH_RATIO = 4.0
 FOUR_SIGMA_PF = 3.17e-5
@@ -134,12 +134,8 @@ class OffsetVoltageDist:
         if not hi > 0.0:
             return None
         edges = np.linspace(math.sqrt(max(lo, 0.0)), math.sqrt(hi), _BER_PANELS + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        y, c = [], []
-        for x, w in (_GAUSS[16], _GAUSS[32]):
-            y.append(np.ravel(mid[:, None] + half[:, None] * x))
-            c.append(np.ravel(half[:, None] * w))
-        y, c = np.concatenate(y), np.concatenate(c)
+        (y16, c16), (y32, c32) = (_composite_rule(edges, order) for order in (16, 32))
+        y, c = np.concatenate([y16, y32]), np.concatenate([c16, c32])
         density = np.exp(-((y * y - self.mu_vos) ** 2) / (2.0 * self.sigma_vos**2))
         return y, c * density * 2.0 * y / (self.sigma_vos * _SQRT_2PI), _BER_PANELS * 16
 
@@ -428,9 +424,9 @@ def invert_for_constraint(dist, target_pf, offset=None):
             )
         if lo == hi:
             return lo
-        return float(
-            brentq(lambda t: dist.ber_at(t, offset) - target_pf, lo, hi, xtol=1e-18, rtol=1e-12)
-        )
+        # xtol scales with the grid: read times span fs to ns across cells
+        return float(brentq(lambda t: dist.ber_at(t, offset) - target_pf, lo, hi,
+                            xtol=1e-12 * lo, rtol=1e-12))
     raise DomainError(f"cannot invert a {type(dist).__name__}")
 
 

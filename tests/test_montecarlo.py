@@ -466,9 +466,9 @@ PINNED = {
         "2,0.35271789859099456,,0.06737610779084209,0.12771110031765825,0",
     ],
     "write": [
-        "0,0.4216158331542024,0.3346648279646931,,1.8327563719310692e-11,0",
-        "1,0.3956330606715766,0.36574860457265135,,1.412534303467467e-11,0",
-        "2,0.3774968296888926,0.3624079249651603,,1.1862972314172399e-11,0",
+        "0,0.4216158331542024,0.3346648279646931,,1.55632899864537e-11,0",
+        "1,0.3956330606715766,0.36574860457265135,,1.199487357804936e-11,0",
+        "2,0.3774968296888926,0.3624079249651603,,1.00737272588067e-11,0",
     ],
     # grid point j=1 at n=30 reads blocks [30, 60): dv[0], dv[1], dv[29],
     # then that point's mu_delta and sigma_delta

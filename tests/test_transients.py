@@ -50,10 +50,9 @@ from test_acceptance import draw_write_config
 DEFAULT_T_READ = 1.11e-10
 DEFAULT_DV_CLOSED = 0.09992827546439512
 DEFAULT_DV_ODE = 0.09988636793057157
-DEFAULT_WRITE_CLOSED = 1.2147935852184221e-11
 DEFAULT_WRITE_ODE_TRUTH = 1.0315710876791450e-11  # adaptive high-order integration
 DEFAULT_WRITE_ODE_RK4 = 1.0315844561413406e-11  # the RK4 reference's fixed-step result
-DEFAULT_WRITE_GAP = 0.1776149988378435  # closed vs exact, regression-pinned
+DEFAULT_WRITE_RK4_T_MAX = 1.2147935852184221e-09  # the horizon that RK4 result was run to
 
 # Same read golden for the shallow bundled flavor (large drain-factor gap).
 SVT_T_READ = 1.34e-10
@@ -160,18 +159,28 @@ class TestCellConfig:
         with pytest.raises(ModelInapplicableError):
             cell.w_trip
 
+    @pytest.mark.parametrize("device, dibl, vddc", [
+        ("nmos", 1e5, 0.5), ("pmos", 1e5, 0.5), ("pmos", -1e5, 0.45)])
+    def test_overflowing_drain_factor_rejected_at_build(self, default_cell, device, dibl,
+                                                       vddc):
+        # vds of the pull-up spans [vddc - vdd, vddc - v_trip]: with vddc below vdd a
+        # negative lambda overflows at the vdd end
+        dev = dataclasses.replace(getattr(default_cell, device), dibl=dibl)
+        with pytest.raises(DomainError, match=f"^{device} drain-bias factor .* overflows"):
+            dataclasses.replace(default_cell, vddc=vddc, **{device: dev})
+
     def test_trip_integral_on_first_read(self, default_cell, monkeypatch):
-        # a read-only cell never pays for the trip integral; a write cell pays once
+        # a build and a read-only cell never evaluate the drives; a write cell does once
         calls = []
-        simpson = transients._adaptive_simpson
-        monkeypatch.setattr(transients, "_adaptive_simpson",
-                            lambda *args: calls.append(args) or simpson(*args))
+        drives = transients._drives
+        monkeypatch.setattr(transients, "_drives",
+                            lambda *args: calls.append(args) or drives(*args))
         cell = dataclasses.replace(default_cell, vwl=0.6)
+        assert calls == []
         assert delta_v_closed(cell, 0.38, 1e-10) > 0.0 and calls == []
         w = cell.w_trip
         assert len(calls) == 1
         assert write_time_closed(cell, 0.38) > 0.0 and cell.w_trip == w and len(calls) == 1
-        assert w == simpson(*calls[0])
 
 
 class TestAssist:
@@ -404,8 +413,9 @@ def test_nan_read_time_rejected(default_cell, oracle):
 
 class TestWriteTimeClosed:
     def test_golden_default_cell(self, default_cell):
+        # the exact write integral at nominal thresholds
         t = write_time_closed(default_cell, default_cell.nmos.vth_nominal)
-        assert t == pytest.approx(DEFAULT_WRITE_CLOSED, rel=1e-9, abs=0)
+        assert t == pytest.approx(DEFAULT_WRITE_ODE_TRUTH, rel=1e-12, abs=0)
 
     @given(
         vth_a=st.floats(0.25, 0.55),
@@ -458,20 +468,29 @@ class TestWriteTimeOde:
         assert t == pytest.approx(DEFAULT_WRITE_ODE_TRUTH, rel=1e-12, abs=0)
 
     def test_rk4_reference_golden(self, default_cell):
-        t_max = default_write_t_max(default_cell)
         t = write_time_rk4(
             default_cell, default_cell.nmos.vth_nominal,
-            default_cell.pmos.vth_nominal, t_max,
+            default_cell.pmos.vth_nominal, DEFAULT_WRITE_RK4_T_MAX,
         )
         assert t == pytest.approx(DEFAULT_WRITE_ODE_RK4, rel=1e-12, abs=0)
         # fixed-step value sits within 0.5% of the adaptive reference
         assert abs(t - DEFAULT_WRITE_ODE_TRUTH) / DEFAULT_WRITE_ODE_TRUTH < 5e-3
 
     def test_closed_form_gap_is_pinned(self, default_cell):
+        # at nominal thresholds the closed form is the exact integral
         t_max = default_write_t_max(default_cell)
         ode = write_time_ode(default_cell, 0.38, 0.38, t_max)
         closed = write_time_closed(default_cell, 0.38)
-        assert abs(closed - ode) / ode == pytest.approx(DEFAULT_WRITE_GAP, rel=1e-12, abs=0)
+        assert closed == pytest.approx(ode, rel=1e-14, abs=0)
+
+    def test_closed_equals_exact_at_nominal_on_c04_configs(self):
+        rng = np.random.default_rng(20260818)  # the C04 configurations
+        for _ in range(100):
+            cell, _, _ = draw_write_config(rng)
+            vth_n, vth_p = cell.nmos.vth_nominal, cell.pmos.vth_nominal
+            closed = write_time_closed(cell, vth_n)
+            exact = write_time_ode(cell, vth_n, vth_p, 1.0)
+            assert closed == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_matches_rk4_at_c04_horizon(self):
         rng = np.random.default_rng(20260818)  # the C04 configurations
@@ -506,7 +525,7 @@ class TestWriteTimeOde:
         h_n, h_p = drives(v_star)
         r_crit = h_n / h_p
         # a grid minimum alone would overestimate an interior minimum
-        assert _critical_ratio(cell, drives)[0] == pytest.approx(r_crit, rel=1e-13, abs=0)
+        assert _critical_ratio(cell)[0] == pytest.approx(r_crit, rel=1e-13, abs=0)
         p_p = gate_polynomial(pm, cell.vddc, vt, 0.38)
 
         def lane(frac):  # vth_n putting r = exp(p_p - p_n) at frac * r_crit
@@ -531,13 +550,7 @@ class TestWriteTimeOde:
         cell = default_cell
         nm, pm = cell.nmos, cell.pmos
         vt = thermal_voltage(cell.temperature_c)
-
-        def drives(v):
-            return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl),
-                    _current_proposed(pm, cell.vddc, np.clip(cell.vddc - v, 0.0, None),
-                                      vt, cell.vddc))
-
-        r_crit, _ = _critical_ratio(cell, drives)
+        r_crit, _ = _critical_ratio(cell)
         target = gate_polynomial(nm, cell.vwl, vt, 0.38) + math.log((1 - 1e-10) * r_crit)
         vth_p = brentq(lambda v: gate_polynomial(pm, cell.vddc, vt, v) - target, 0.0, 1.0,
                        xtol=1e-15, rtol=1e-15)

@@ -486,6 +486,19 @@ class TestInversion:
         assert table.t_read[0] < t < table.t_read[-1]
         assert table.ber_at(t, OFFSET) == pytest.approx(pf_mid, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("c_blb, vwl", [(1e-21, 0.55), (50e-15, 0.5)])
+    def test_access_root_tolerance_is_relative(self, default_cell, default_variation,
+                                               c_blb, vwl):
+        # an absolute 1e-18 s tolerance returned the grid end of the sub-femtosecond
+        # cell (BER 80 % off target) and a root good to 1.2e-8 on the default cell
+        cell = dataclasses.replace(default_cell, c_blb=c_blb, vwl=vwl)
+        offset = default_variation.offset
+        grid = auto_read_grid(cell, offset, 12)
+        table = characterize_access(cell, default_variation, grid, n=200)
+        t = invert_for_constraint(table, FOUR_SIGMA_PF, offset=offset)
+        assert grid[0] < t < grid[-1]
+        assert table.ber_at(t, offset) == pytest.approx(FOUR_SIGMA_PF, rel=1e-12, abs=0)
+
     def test_access_requires_offset(self):
         table = TestCharacterization.synthetic_table()
         with pytest.raises(DomainError, match="offset"):
