@@ -445,6 +445,8 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="sramyield",
         description="SRAM timing-yield workbench: fit, characterize, analyze, verify.",
+        # an abbreviated execution flag would slip past _normalized_command
+        allow_abbrev=False,
     )
     top.add_argument("--seed", type=int, default=None,
                      help="override the variation seed")

@@ -1,9 +1,9 @@
 """Least-squares extraction of drain-current model constants from I-V data.
 
 The fit minimizes log-current residuals (subthreshold currents span decades,
-and the error metric of record is relative) with a damped Gauss-Newton
-iteration: damping grows tenfold on a rejected step and shrinks tenfold on an
-accepted one. Box bounds are enforced by projecting each step.
+and the error metric of record is relative) with scipy's bounded least squares
+(`least_squares`, trust-region reflective), which also finds a best fit that
+lies on a bound of the box.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .devices import EXP_ARG_LIMIT, DeviceParams, _current_proposed, thermal_voltage
 from .errors import DomainError, ParseError
 
 IV_CSV_HEADER = ("vgs", "vds", "ids", "temp_c")
 
-# Box bounds enforced by projection, in (k1, k2, dibl, n) order.
-_K1_BOUNDS = (1e-6, 2.0)
-_K2_BOUNDS = (-0.2, 0.0)
-_DIBL_BOUNDS = (-0.1, 0.2)
-_N_BOUNDS = (1.0, 3.0)
+# Box bounds of the fitted vector (ln i0, k1, k2, dibl[, n]), as (lower, upper).
+_BOUNDS = np.array([(-np.inf, np.inf), (1e-6, 2.0), (-0.2, 0.0), (-0.1, 0.2), (1.0, 3.0)]).T
+_CURRENT_FLOOR = 1e-15
 
 
 @dataclass
@@ -71,12 +70,7 @@ class IVDataset:
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 500
-    rel_residual_tol: float = 1e-9
-    step_norm_tol: float = 1e-10
     fit_n: bool = False
-    current_floor: float = 1e-15
-    initial_damping: float = 1e-3
-    jacobian_rel_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,110 +243,53 @@ def model_currents(params, data):
     return out
 
 
-def _pack(params, fit_n):
-    theta = [np.log(params.i0), params.k1, params.k2, params.dibl]
-    if fit_n:
-        theta.append(params.n)
-    return np.array(theta, dtype=float)
-
-
-def _unpack(theta, template, fit_n):
-    n = float(theta[4]) if fit_n else template.n
-    return replace(
-        template,
-        i0=float(np.exp(theta[0])),
-        k1=float(theta[1]),
-        k2=float(theta[2]),
-        dibl=float(theta[3]),
-        n=n,
-    )
-
-
-def _project(theta, fit_n):
-    out = theta.copy()
-    out[1] = np.clip(out[1], *_K1_BOUNDS)
-    out[2] = np.clip(out[2], *_K2_BOUNDS)
-    out[3] = np.clip(out[3], *_DIBL_BOUNDS)
-    if fit_n:
-        out[4] = np.clip(out[4], *_N_BOUNDS)
-    return out
-
-
 def fit_device(data, init, options=None):
     """Fit (i0, k1, k2, dibl[, n]) to the dataset; vth_nominal stays at init.
 
-    Returns a FitReport; running out of iterations yields converged=False
-    rather than an exception.
+    Returns a FitReport; `iterations` counts residual evaluations (at most
+    max_iterations), and running out of them yields converged=False rather
+    than an exception.
     """
     options = options or FitOptions()
-    keep = (data.ids >= options.current_floor) & (data.vds > 0.0)
+    if options.max_iterations < 1:
+        raise DomainError(f"max_iterations must be >= 1, got {options.max_iterations}")
+    keep = (data.ids >= _CURRENT_FLOOR) & (data.vds > 0.0)
     if not np.any(keep):
-        raise DomainError(
-            f"no points at or above the current floor {options.current_floor:g} A"
-        )
+        raise DomainError(f"no points at or above the current floor {_CURRENT_FLOOR:g} A")
     vgs, vds, temp = data.vgs[keep], data.vds[keep], data.temp_c[keep]
     log_meas = np.log(data.ids[keep])
     vt = np.array([thermal_voltage(t) for t in temp])
     vth = init.vth_nominal
 
-    def log_model(theta):
+    def residual(theta):
         ln_i0, k1, k2, dibl = theta[:4]
         n = theta[4] if options.fit_n else init.n
         x = (vgs - vth) / (n * vt)
         p = np.clip(k1 * x + k2 * x * x, -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
         drain = -np.expm1(-k1 * vds / vt)
-        return ln_i0 + p + dibl * vds / (n * vt) + np.log(drain)
+        return ln_i0 + p + dibl * vds / (n * vt) + np.log(drain) - log_meas
 
-    def residual(theta):
-        return log_model(theta) - log_meas
-
-    theta = _project(_pack(init, options.fit_n), options.fit_n)
-    r = residual(theta)
-    if not np.all(np.isfinite(r)):
+    size = 5 if options.fit_n else 4
+    lo, hi = _BOUNDS[:, :size]
+    theta0 = np.clip([np.log(init.i0), init.k1, init.k2, init.dibl, init.n][:size], lo, hi)
+    if not np.all(np.isfinite(residual(theta0))):
         raise DomainError("non-finite residual at the initial parameters")
-    ssq = float(r @ r)
-    damping = options.initial_damping
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, options.max_iterations + 1):
-        jac = np.empty((r.size, theta.size))
-        for m in range(theta.size):
-            h = options.jacobian_rel_step * max(1.0, abs(theta[m]))
-            bumped = theta.copy()
-            bumped[m] += h
-            jac[:, m] = (residual(bumped) - r) / h
-        jtj = jac.T @ jac
-        rhs = -jac.T @ r
-        scale = np.diag(np.diag(jtj))
-        try:
-            step = np.linalg.solve(jtj + damping * scale, rhs)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jtj + damping * scale, rhs, rcond=None)[0]
-        proposal = _project(theta + step, options.fit_n)
-        actual_step = proposal - theta
-        if float(np.linalg.norm(actual_step)) < options.step_norm_tol:
-            converged = True
-            break
-        r_new = residual(proposal)
-        ssq_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
-        if ssq_new < ssq:
-            rel_drop = (ssq - ssq_new) / ssq if ssq > 0.0 else 0.0
-            theta, r, ssq = proposal, r_new, ssq_new
-            damping = max(damping / 10.0, 1e-14)
-            if rel_drop < options.rel_residual_tol:
-                converged = True
-                break
-        else:
-            damping = min(damping * 10.0, 1e14)
-
-    params = _unpack(theta, init, options.fit_n)
+    sol = least_squares(residual, theta0, bounds=(lo, hi), max_nfev=options.max_iterations)
+    theta = sol.x
+    params = replace(
+        init,
+        i0=float(np.exp(theta[0])),
+        k1=float(theta[1]),
+        k2=float(theta[2]),
+        dibl=float(theta[3]),
+        n=float(theta[4]) if options.fit_n else init.n,
+    )
     max_err, avg_err = error_stats(data, params)
     return FitReport(
         params=params,
         max_rel_error_sat=max_err,
         avg_rel_error_sat=avg_err,
-        iterations=iterations,
-        converged=converged,
-        residual_norm=float(np.sqrt(ssq)),
+        iterations=int(sol.nfev),
+        converged=bool(sol.status > 0),
+        residual_norm=float(np.linalg.norm(sol.fun)),
     )

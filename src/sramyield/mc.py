@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .artifacts import parsing, write_csv
-from .errors import DegenerateStatisticsError, DomainError, require_finite
+from .errors import DomainError, require_finite
 from .transients import default_write_t_max, delta_v_closed, delta_v_ode, write_time_closed, write_time_ode
 from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
                          estimate_delta_params, estimate_write_params)
@@ -155,14 +155,14 @@ def draw_write_samples(var, start, count):
     return _draw(var, _ROLE_WRITE, start, count, var.vth_p_mean, var.vth_p_sigma)
 
 
-def _stream(fn, base, n, threads):
-    """[fn(start, count) for each fixed block of [base, base+n)], in index order.
+def _stream(fn, n, threads):
+    """[fn(start, count) for each fixed block of [0, n)], in index order.
 
     Blocks are _BLOCK samples long whatever the thread count, so a pass holds
     O(_BLOCK * threads) lanes at a time; with threads > 1 a pool works on
     `threads` blocks at once and results come back in block order.
     """
-    blocks = [(base + s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
+    blocks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
     if threads <= 1 or len(blocks) == 1:
         return [fn(s, c) for s, c in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -212,12 +212,12 @@ def characterization_lanes(role, var, n, threads=1):
     role = _role(role)
     if n < 1:
         raise DomainError("n must be >= 1")
-    parts = _stream(lambda start, count: _draw_role(role, var, start, count), 0, n, threads)
+    parts = _stream(lambda start, count: _draw_role(role, var, start, count), n, threads)
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def _samples(role, cell, var, n, mode, threads, t, base=0):
-    """Draw blocks [base, base+n) of a role's stream and evaluate its oracle.
+def _samples(role, cell, var, n, mode, threads, t):
+    """Draw blocks [0, n) of a role's stream and evaluate its oracle.
 
     `t` is the read time for access and the ODE censoring horizon t_max for
     write (None picks the default). Returns (vth_n, other, metric) arrays in
@@ -229,7 +229,7 @@ def _samples(role, cell, var, n, mode, threads, t, base=0):
         vth_n, other = _draw_role(role, var, start, count)
         return vth_n, other, _oracle(role, cell, mode, vth_n, other, t)
 
-    return tuple(np.concatenate(cols) for cols in zip(*_stream(block, base, n, threads)))
+    return tuple(np.concatenate(cols) for cols in zip(*_stream(block, n, threads)))
 
 
 def access_samples(cell, var, n, t_read, mode="closed", threads=1):
@@ -283,7 +283,7 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
         return counts, (vth_n, other, metrics[0], fails[0]) if export_path is not None else None
 
     started = time.perf_counter()
-    parts = _stream(block, 0, n, threads)
+    parts = _stream(block, n, threads)
     wall = time.perf_counter() - started
     if export_path is not None:
         vth_n, other, metric, fail = (np.concatenate(cols) for cols in zip(*(k for _, k in parts)))
@@ -382,8 +382,4 @@ def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, th
     else:
         _check_pass(n, mode)
         t = _oracle(_ROLE_WRITE, cell, mode, *lanes, t_max)
-    if np.any(np.isinf(t)):
-        raise DegenerateStatisticsError(
-            "censored samples in the characterization draw; raise t_max or weaken contention"
-        )
     return estimate_write_params(t, t0=t0)

@@ -241,23 +241,6 @@ class AssistConfig:
         if self.wl_boost < 0.0:
             raise DomainError(f"wl_boost must be >= 0, got {self.wl_boost}")
 
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "wl_underdrive": self.wl_underdrive,
-            "wl_boost": self.wl_boost,
-            "cell_vdd_delta": self.cell_vdd_delta,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("assist JSON"):
-            return cls(
-                wl_underdrive=float(obj.get("wl_underdrive", 0.0)),
-                wl_boost=float(obj.get("wl_boost", 0.0)),
-                cell_vdd_delta=float(obj.get("cell_vdd_delta", 0.0)),
-            )
-
 
 def apply_assist(base, assist, mode):
     """New CellConfig with assist voltages applied for a read or a write.

@@ -33,6 +33,8 @@ DEFAULT_T0 = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BER_PANELS = 8  # equal panels in y = sqrt(v) over the offset window
 _BER_REL_TOL = 1e-12  # 16- vs 32-node agreement; beyond it, adaptive quadrature
+# offset quantiles mu + z*sigma at the ends of auto_read_grid's read-time grid
+_GRID_Z_LO, _GRID_Z_HI = 1.6, 5.2
 
 
 def _check_moments(mu, sigma, what):
@@ -156,11 +158,19 @@ class OffsetVoltageDist:
 # -- estimation -----------------------------------------------------------------
 
 def _sqrt_moments(samples, what, floor, floor_advice, root):
-    """Mean and sample deviation of root(samples), all of which must exceed floor."""
+    """Mean and sample deviation of root(samples), all of which must exceed floor.
+
+    An inf sample is a censored lane, which carries no moment information.
+    """
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 30:
         raise DegenerateStatisticsError(
             f"{what} estimation needs at least 30 samples, got {arr.size}"
+        )
+    censored = np.nonzero(arr == np.inf)[0]
+    if censored.size:
+        raise DegenerateStatisticsError(
+            f"{what} sample {int(censored[0])} is inf (censored): no finite moments"
         )
     bad = np.nonzero(~(arr > floor))[0]
     if bad.size:
@@ -430,7 +440,7 @@ def invert_for_constraint(dist, target_pf, offset=None):
     raise DomainError(f"cannot invert a {type(dist).__name__}")
 
 
-def auto_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
+def auto_read_grid(cell, offset, points=12):
     """Geometric t_read grid bracketing the useful BER range.
 
     Endpoints are the exact inverse of the nominal closed-form discharge
@@ -440,8 +450,8 @@ def auto_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
     """
     if points < 2:
         raise DomainError("grid needs at least 2 points")
-    dv_lo = offset.mu_vos + z_lo * offset.sigma_vos
-    dv_hi = offset.mu_vos + z_hi * offset.sigma_vos
+    dv_lo = offset.mu_vos + _GRID_Z_LO * offset.sigma_vos
+    dv_hi = offset.mu_vos + _GRID_Z_HI * offset.sigma_vos
     if not 0.0 < dv_lo < dv_hi < cell.vdd:
         raise DomainError(
             f"offset quantile window [{dv_lo!r}, {dv_hi!r}] V does not fit below vdd"

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestExitCodes:
     def test_fit_nonconvergence(self, tmp_path):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "1")
         assert rc == EXIT_FIT
+
+    def test_fit_needs_an_iteration(self, tmp_path, capsys):
+        rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "0")
+        assert rc == EXIT_DOMAIN
+        assert "max_iterations must be >= 1" in capsys.readouterr().err
+
+    def test_censored_qq_sample_is_degenerate(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(tmp_path, "qq", "--mode", "write", "--oracle", "ode", "--n", "20000")
+        assert rc == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert "inf (censored)" in err and "zero variance" not in err
 
     def test_degenerate_statistics(self, tmp_path):
         rc = run_cli(tmp_path, "characterize", "--mode", "write", "--n", "10")
@@ -638,6 +652,14 @@ class TestReproducibility:
         rc = main([f"--out-dir={d}", "--threads=4", *self.ARGS])
         assert rc == 0
         assert read_manifest(d)["digest"] == digests[0]
+
+    @pytest.mark.parametrize("flag", [("--thr", "2"), ("--json-l",)])
+    def test_abbreviated_execution_flag_is_rejected(self, tmp_path, flag):
+        # an abbreviation would escape the normalization of the digested command
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, *flag, *self.ARGS)
+        assert exc.value.code == EXIT_PARSE
+        assert not (tmp_path / "mc.json").exists()
 
     @pytest.mark.parametrize("role", [
         ("--mode", "access", "--t-read", "1.2e-10"),

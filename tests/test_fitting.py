@@ -7,6 +7,7 @@ noisy round trip, rounded up one digit.
 
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ from sramyield.fitting import (
 VGS_GRID = np.round(np.arange(0.0, 0.7001, 0.01), 10)
 VDS_GRID = np.round(np.arange(0.02, 0.7001, 0.02), 10)
 NOISY_RECOVERY_BOUND = 0.0062  # observed 6.154e-3 worst field at seed 7
+BUNDLED_IV = str(resources.files("sramyield.data").joinpath("nch_svt_iv.csv"))
+# Fit of the bundled CSV from default_init(vth_nominal=0.35), as first
+# recorded by the projected Gauss-Newton fitter this solver replaced; an
+# interior optimum must not move.
+BUNDLED_FIT = {
+    "i0": 2.29637642201639e-05,
+    "k1": 0.14165349469384197,
+    "k2": -0.0028746799766977502,
+    "dibl": -0.001389663645037127,
+}
 
 
 def make_grid(params, **kw):
@@ -229,6 +240,28 @@ class TestFitDevice:
         assert scaled.k1 == pytest.approx(base.k1, abs=1e-6)
         assert scaled.k2 == pytest.approx(base.k2, abs=1e-6)
         assert scaled.dibl == pytest.approx(base.dibl, abs=1e-6)
+
+    @pytest.mark.parametrize("field,true_value,bound", [("k2", 0.01, 0.0), ("dibl", 0.3, 0.2)])
+    def test_bound_active_fit_reaches_the_bounded_optimum(self, device_table, field,
+                                                          true_value, bound):
+        # the best fit lies on a bound: the default start and the true
+        # parameters (clipped into the bounds by fit_device) reach one optimum
+        truth = dataclasses.replace(device_table["nch_svt"], **{field: true_value})
+        data = make_grid(truth)
+        reports = [fit_device(data, init=init)
+                   for init in (default_init(data, vth_nominal=truth.vth_nominal), truth)]
+        assert all(r.converged for r in reports)
+        assert reports[0].residual_norm == pytest.approx(reports[1].residual_norm,
+                                                         rel=1e-6, abs=0)
+        for r in reports:
+            assert getattr(r.params, field) == pytest.approx(bound, abs=1e-9)
+
+    def test_bundled_csv_fit_is_pinned(self):
+        data = read_iv_csv(BUNDLED_IV)
+        report = fit_device(data, init=default_init(data, vth_nominal=0.35))
+        assert report.converged
+        for field, want in BUNDLED_FIT.items():
+            assert getattr(report.params, field) == pytest.approx(want, rel=1e-8, abs=0), field
 
     def test_running_out_of_iterations_reports_not_converged(self, device_table):
         lvt = device_table["nch_lvt"]

@@ -434,15 +434,16 @@ class TestCharacterizeAccess:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_one_pass_equals_per_point_samples(self, default_cell, monkeypatch, mode,
                                                threads):
-        # one draw of [0, G*n) and one oracle call give the same bits as one
-        # _samples pass per grid point; short blocks put block edges inside rows
+        # one draw of [0, G*n) and one oracle call give the same bits as a
+        # _samples pass per grid point, row j taken from its blocks
+        # [j*n, (j+1)*n); short blocks put block edges inside rows
         monkeypatch.setattr(mc, "_BLOCK", 50)
         n, grid = 61, [7e-11, 9e-11, 1.2e-10, 1.8e-10]
         table = characterize_access(default_cell, VAR, grid, n=n, mode=mode, threads=threads)
         for j, t in enumerate(grid):
-            _, _, dv = mc._samples(mc._ROLE_ACCESS, default_cell, VAR, n, mode, threads, t,
-                                   base=j * n)
-            dist = estimate_delta_params(dv)
+            _, _, dv = mc._samples(mc._ROLE_ACCESS, default_cell, VAR, len(grid) * n, mode,
+                                   threads, t)
+            dist = estimate_delta_params(dv[j * n:(j + 1) * n])
             assert (table.mu_delta[j], table.sigma_delta[j]) == (dist.mu_delta,
                                                                  dist.sigma_delta)
 

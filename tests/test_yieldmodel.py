@@ -92,6 +92,14 @@ class TestEstimators:
         with pytest.raises(DomainError, match="sample 17 = nan is not above zero"):
             estimate_delta_params(samples)
 
+    @pytest.mark.parametrize("estimate", [estimate_delta_params, estimate_write_params])
+    def test_infinite_sample_is_censored(self, estimate, recwarn):
+        samples = [5e-12 * (1.0 + 0.01 * i) for i in range(40)]
+        samples[17] = math.inf
+        with pytest.raises(DegenerateStatisticsError, match="sample 17 is inf [(]censored[)]"):
+            estimate(samples)
+        assert not recwarn.list
+
     def test_delta_synthetic_round_trip(self):
         rng = np.random.default_rng(20240101)
         samples = rng.normal(0.3, 0.01, 1_000_000) ** 2
