@@ -221,7 +221,7 @@ def cmd_fit(args, run, log):
     report = fit_device(data, init=init, options=options)
     if not report.converged:
         raise FitConvergenceError(
-            f"fit did not converge in {report.iterations} iterations "
+            f"fit did not converge in {report.iterations} residual evaluations "
             f"(residual norm {report.residual_norm!r})"
         )
     run.write_json(args.out, report.to_dict())
@@ -231,7 +231,7 @@ def cmd_fit(args, run, log):
                   (f"{float(vgs)!r},{float(vds)!r},{float(ids)!r},{float(m)!r}\n"
                    for vgs, vds, ids, m in zip(data.vgs, data.vds, data.ids, fitted)))
     print(
-        f"fit converged in {report.iterations} iterations: "
+        f"fit converged in {report.iterations} residual evaluations: "
         f"max_rel_error_sat={report.max_rel_error_sat:.4f} "
         f"avg_rel_error_sat={report.avg_rel_error_sat:.4f}"
     )
@@ -454,12 +454,14 @@ def build_parser():
     top.add_argument("--out-dir", default=".")
     top.add_argument("--json-logs", action="store_true")
     sub = top.add_subparsers(dest="command", required=True)
+    # subcommand flags are digested verbatim too, so they may not abbreviate either
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common_cfg(p):
         p.add_argument("--cell", default=None, help="cell JSON (default: bundled)")
         p.add_argument("--variation", default=None, help="variation JSON (default: bundled)")
 
-    p = sub.add_parser("fit", help="fit device constants from an I-V CSV")
+    p = add_command("fit", help="fit device constants from an I-V CSV")
     p.add_argument("--iv", required=True)
     p.add_argument("--init", default=None, help="initial parameters JSON")
     p.add_argument("--vth", type=float, default=0.35,
@@ -468,13 +470,14 @@ def build_parser():
     p.add_argument("--n-factor", type=float, default=1.5,
                    help="ideality factor seed when no --init is given")
     p.add_argument("--fit-n", action="store_true", help="also fit the ideality factor")
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=int, default=500,
+                   help="budget of residual evaluations")
     p.add_argument("--emit-iv", default=None, metavar="NAME",
                    help="also write model-vs-data curves CSV")
     p.add_argument("--out", default="fit.json")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("characterize", help="estimate distribution moments by small-n MC")
+    p = add_command("characterize", help="estimate distribution moments by small-n MC")
     common_cfg(p)
     p.add_argument("--mode", choices=("access", "write"), required=True)
     p.add_argument("--n", type=int, default=None, help="samples (default 200 access / 1600 write)")
@@ -486,7 +489,7 @@ def build_parser():
     p.add_argument("--out", default="characterization.json")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("yield", help="analytical failure probabilities from a characterization")
+    p = add_command("yield", help="analytical failure probabilities from a characterization")
     p.add_argument("--characterization", required=True)
     p.add_argument("--offset", default=None, help="offset JSON (access mode)")
     p.add_argument("--constraints", default=None, help="comma-separated times in seconds")
@@ -495,7 +498,7 @@ def build_parser():
     p.add_argument("--out", default="yield.csv")
     p.set_defaults(func=cmd_yield)
 
-    p = sub.add_parser("compare", help="analytical vs MC failure probabilities")
+    p = add_command("compare", help="analytical vs MC failure probabilities")
     common_cfg(p)
     p.add_argument("--mode", choices=("access", "write"), required=True)
     p.add_argument("--constraints", required=True)
@@ -507,7 +510,7 @@ def build_parser():
     p.add_argument("--out", default="compare.csv")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="constraint-at-target across vdd, vwl, or temperature")
+    p = add_command("sweep", help="constraint-at-target across vdd, vwl, or temperature")
     common_cfg(p)
     p.add_argument("--axis", choices=("vdd", "vwl", "temperature"), required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
@@ -519,7 +522,7 @@ def build_parser():
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("qq", help="Q-Q table of sampled metric against the fitted law")
+    p = add_command("qq", help="Q-Q table of sampled metric against the fitted law")
     common_cfg(p)
     p.add_argument("--mode", choices=("access", "write"), required=True)
     p.add_argument("--n", type=int, default=10**5)
@@ -531,7 +534,7 @@ def build_parser():
     p.add_argument("--out", default="qq.csv")
     p.set_defaults(func=cmd_qq)
 
-    p = sub.add_parser("mc", help="plain Monte Carlo failure probability")
+    p = add_command("mc", help="plain Monte Carlo failure probability")
     common_cfg(p)
     p.add_argument("--mode", choices=("access", "write"), required=True)
     p.add_argument("--n", type=int, default=10**6)

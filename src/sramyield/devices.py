@@ -15,12 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as _BOLTZMANN_J_PER_K
-from scipy.constants import e as _ELEMENTARY_CHARGE_C
-from scipy.constants import zero_Celsius as _ZERO_C_IN_K
 
 from .artifacts import bundled_json, parsing, read_json, write_json
 from .errors import DomainError, require_finite
+
+# Exact SI 2019 values, the same floats scipy.constants holds; importing it
+# would add to the start-up of every command.
+_BOLTZMANN_J_PER_K = 1.380649e-23
+_ELEMENTARY_CHARGE_C = 1.602176634e-19
+_ZERO_C_IN_K = 273.15
 
 # Exponent clamp: far outside the fitted bias domain, keeps exp() finite
 # while preserving monotonicity.

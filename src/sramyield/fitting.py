@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .devices import EXP_ARG_LIMIT, DeviceParams, _current_proposed, thermal_voltage
 from .errors import DomainError, ParseError
@@ -69,6 +68,9 @@ class IVDataset:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """`max_iterations` is the budget of residual evaluations (scipy's
+    `max_nfev`; Jacobian evaluations are not counted), not of solver steps."""
+
     max_iterations: int = 500
     fit_n: bool = False
 
@@ -246,10 +248,12 @@ def model_currents(params, data):
 def fit_device(data, init, options=None):
     """Fit (i0, k1, k2, dibl[, n]) to the dataset; vth_nominal stays at init.
 
-    Returns a FitReport; `iterations` counts residual evaluations (at most
-    max_iterations), and running out of them yields converged=False rather
-    than an exception.
+    Returns a FitReport. `options.max_iterations` caps the residual
+    evaluations, which `iterations` counts, and running out of them yields
+    converged=False rather than an exception.
     """
+    from scipy.optimize import least_squares  # fit only: keeps scipy.optimize off start-up
+
     options = options or FitOptions()
     if options.max_iterations < 1:
         raise DomainError(f"max_iterations must be >= 1, got {options.max_iterations}")

@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .devices import (
     EXP_ARG_LIMIT,
@@ -428,6 +426,8 @@ def _trip_quad(cell, ratio, cuts):
     unlike catch_warnings, is thread-safe); the cancellation in h_n - r*h_p
     limits the value there either way.
     """
+    from scipy.integrate import quad  # fallback only: keeps scipy.integrate off start-up
+
     def integrand(v):
         h_n, h_p = _drives(cell, v)
         return 1.0 / (h_n - ratio * h_p)
@@ -486,6 +486,8 @@ def _critical_ratio(cell):
     A grid minimum only bounds r_crit from above, so the grid argmin is
     refined by a bounded scalar minimisation over its neighbouring cells.
     """
+    from scipy.optimize import minimize_scalar  # ODE write path only
+
     grid = np.linspace(cell.v_trip, min(cell.vdd, cell.vddc), 1025)
     with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
         ratio = np.divide(*_drives(cell, grid))

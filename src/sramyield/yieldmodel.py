@@ -12,15 +12,13 @@ deficit, so constructors warn below a mu/sigma ratio of 4.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .artifacts import parsing, read_json, write_csv, write_json
@@ -35,6 +33,7 @@ _BER_PANELS = 8  # equal panels in y = sqrt(v) over the offset window
 _BER_REL_TOL = 1e-12  # 16- vs 32-node agreement; beyond it, adaptive quadrature
 # offset quantiles mu + z*sigma at the ends of auto_read_grid's read-time grid
 _GRID_Z_LO, _GRID_Z_HI = 1.6, 5.2
+_BRENT_MAX_ITER = 100  # scipy's brentq default
 
 
 def _check_moments(mu, sigma, what):
@@ -245,6 +244,8 @@ def access_fail_prob_fixed(dist, v_os):
 
 def _ber_quad(mu, sigma, offset):
     """BER of one (mu, sigma) pair by adaptive quadrature over v."""
+    from scipy.integrate import quad  # fallback only: keeps scipy.integrate off start-up
+
     lo = offset.mu_vos - 8.0 * offset.sigma_vos
     hi = offset.mu_vos + 8.0 * offset.sigma_vos
     inv = 1.0 / (offset.sigma_vos * _SQRT_2PI)
@@ -333,6 +334,53 @@ def relative_error(pf_ref, pf_hat):
 
 # -- characterization table -------------------------------------------------------
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+class _Pchip:
+    """Monotone piecewise-cubic (PCHIP) interpolant of each column of y over x.
+
+    A numpy port of scipy's PchipInterpolator that reproduces its bits:
+    Fritsch-Butland weighted-harmonic-mean slopes inside (zero at a flat
+    secant or a slope sign change), one-sided end slopes, the straight line
+    through a 2-point table, CubicHermiteSpline's coefficients, and PPoly's
+    evaluation on the piece holding t (the last piece at the right end). A
+    1-point table is a constant. scipy.interpolate would import
+    scipy.optimize, .linalg and .fft on every command that reads a table.
+    """
+
+    def __init__(self, x, y):
+        self.x = tuple(x.tolist())
+        if x.size == 1:
+            self.pieces = [[(0.0, 0.0, 0.0, v) for v in y[0].tolist()]]
+            return
+        h = np.diff(x)[:, None]
+        m = np.diff(y, axis=0) / h
+        if x.size == 2:
+            d = np.concatenate([m, m])
+        else:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            d = np.concatenate([_pchip_end_slope(h[0], h[1], m[0], m[1])[None],
+                                np.where(flat, 0.0, inner),
+                                _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]])
+        bend = (d[:-1] + d[1:] - 2 * m) / h
+        c = np.stack([bend / h, (m - d[:-1]) / h - bend, d[:-1], y[:-1]])
+        self.pieces = c.transpose(1, 2, 0).tolist()  # [piece][column] -> (c0, c1, c2, c3)
+
+    def __call__(self, t):
+        """Values of every column at t, which must lie in [x[0], x[-1]]."""
+        i = min(bisect.bisect_right(self.x, t), len(self.pieces)) - 1
+        s = t - self.x[i]
+        return [c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s) for c0, c1, c2, c3 in self.pieces[i]]
+
+
 @dataclass(frozen=True)
 class AccessCharacterization:
     """Read-time grid with per-point sqrt(delta_v) moments.
@@ -362,20 +410,14 @@ class AccessCharacterization:
         object.__setattr__(self, "t_read", tuple(float(v) for v in t))
         object.__setattr__(self, "mu_delta", tuple(float(v) for v in mu))
         object.__setattr__(self, "sigma_delta", tuple(float(v) for v in sg))
-        table = np.column_stack([mu, sg])
-        if t.size == 1:
-            # Degenerate single-row table: the range check pins queries to the
-            # one characterized time, so a constant "interpolant" is exact.
-            object.__setattr__(self, "_interp", lambda _t, _row=table[0]: _row)
-        else:
-            object.__setattr__(self, "_interp", PchipInterpolator(t, table, extrapolate=False))
+        object.__setattr__(self, "_interp", _Pchip(t, np.column_stack([mu, sg])))
 
     def distribution_at(self, t):
         t, lo, hi = float(t), self.t_read[0], self.t_read[-1]
         if not lo <= t <= hi:
             raise DomainError(f"t_read {t!r} outside the characterized grid [{lo!r}, {hi!r}]")
         mu, sigma = self._interp(t)
-        return DeltaVDistribution(mu_delta=float(mu), sigma_delta=float(sigma))
+        return DeltaVDistribution(mu_delta=mu, sigma_delta=sigma)
 
     def ber_at(self, t, offset):
         """BER at read time t, or an array of BERs at each time of a sequence."""
@@ -435,9 +477,62 @@ def invert_for_constraint(dist, target_pf, offset=None):
         if lo == hi:
             return lo
         # xtol scales with the grid: read times span fs to ns across cells
-        return float(brentq(lambda t: dist.ber_at(t, offset) - target_pf, lo, hi,
-                            xtol=1e-12 * lo, rtol=1e-12))
+        return _brentq(lambda t: dist.ber_at(t, offset) - target_pf, lo, hi,
+                       xtol=1e-12 * lo, rtol=1e-12)
     raise DomainError(f"cannot invert a {type(dist).__name__}")
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f on the bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy's brentq.c: the same steps, tolerances and
+    calls give the same root bits, without importing scipy.optimize (and its
+    start-up cost) on every command that inverts a BER curve.
+    """
+    def signbit(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise DomainError(f"no sign change of the root function on [{xa!r}, {xb!r}]")
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise DomainError(f"root finding did not converge in {_BRENT_MAX_ITER} iterations "
+                      f"on [{xa!r}, {xb!r}]")
 
 
 def auto_read_grid(cell, offset, points=12):

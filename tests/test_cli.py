@@ -83,9 +83,11 @@ class TestExitCodes:
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
         assert sum(drawn) == (12 * 128 if role == "access" else 128)  # characterization only
 
-    def test_fit_nonconvergence(self, tmp_path):
+    def test_fit_nonconvergence(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "1")
         assert rc == EXIT_FIT
+        # the budget counts residual evaluations, not solver steps
+        assert "did not converge in 1 residual evaluations" in capsys.readouterr().err
 
     def test_fit_needs_an_iteration(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "0")
@@ -660,6 +662,16 @@ class TestReproducibility:
             run_cli(tmp_path, *flag, *self.ARGS)
         assert exc.value.code == EXIT_PARSE
         assert not (tmp_path / "mc.json").exists()
+
+    def test_abbreviated_subcommand_flag_is_rejected(self, tmp_path):
+        # `--t-re` would run the same MC under another command digest than `--t-read`
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path / "abbrev", "mc", "--mode", "access", "--n", "1000",
+                    "--t-re", "1.2e-10")
+        assert exc.value.code == EXIT_PARSE
+        assert not (tmp_path / "abbrev").exists()
+        assert run_cli(tmp_path / "full", "mc", "--mode", "access", "--n", "1000",
+                       "--t-read", "1.2e-10") == 0
 
     @pytest.mark.parametrize("role", [
         ("--mode", "access", "--t-read", "1.2e-10"),

@@ -1,12 +1,19 @@
-"""Every module of the package uses each name it imports.
+"""Import hygiene of the package: no unused imports, and a light start-up.
 
 No linter ships with the test dependencies, so this walks the syntax tree:
 a name bound by an import statement has to appear somewhere in the module
 as a plain name (an attribute access `np.exp` counts as a use of `np`).
 `__init__.py` re-exports by importing and is exempt.
+
+Importing scipy.optimize, .integrate, .interpolate or .constants costs more
+than a closed-model command itself, so at import time the package may load
+only scipy.special; the adaptive fallbacks, the ODE write path and `fit`
+import the rest inside the function that needs it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +44,58 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def heavy_scipy_imports(source):
+    """scipy modules other than scipy.special that the module imports outside
+    function bodies, that is, when it is itself imported."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{a.name}" for a in node.names]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted(name for name in found if name.partition(".")[0] == "scipy"
+                  and not f"{name}.".startswith("scipy.special."))
+
+
+def test_checker_flags_a_heavy_scipy_import():
+    source = ("import scipy.optimize, scipy.special\nfrom scipy.special import ndtr\n"
+              "from scipy import integrate\n"
+              "def f():\n    from scipy.optimize import brentq\n")
+    assert heavy_scipy_imports(source) == ["scipy.integrate", "scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(sramyield.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_level_scipy_is_special_only(path):
+    assert heavy_scipy_imports(path.read_text()) == []
+
+
+CLOSED_COMMANDS = """
+import sys
+from sramyield.cli import main
+
+out = sys.argv[1]
+for argv in (
+    ["characterize", "--mode", "access", "--n", "100"],
+    ["yield", "--characterization", out + "/characterization.json", "--target", "1e-3"],
+    ["sweep", "--axis", "vwl", "--mode", "access", "--values", "0.6,0.55", "--char-n", "100"],
+    ["compare", "--mode", "write", "--constraints", "2e-11", "--n", "2000", "--char-n", "200"],
+):
+    assert main(["--out-dir", out, *argv]) == 0, argv
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.constants")
+print([name for name in heavy if name in sys.modules])
+"""
+
+
+def test_closed_model_commands_load_only_scipy_special(tmp_path):
+    src = str(Path(sramyield.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", CLOSED_COMMANDS, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

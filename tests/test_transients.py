@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
@@ -555,7 +556,8 @@ class TestWriteTimeOde:
         vth_p = brentq(lambda v: gate_polynomial(pm, cell.vddc, vt, v) - target, 0.0, 1.0,
                        xtol=1e-15, rtol=1e-15)
         calls = []
-        monkeypatch.setattr(transients, "quad", lambda *a, **k: calls.append(1) or quad(*a, **k))
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # quad's roundoff IntegrationWarning included
             t = write_time_ode(cell, 0.38, vth_p, 1.0)

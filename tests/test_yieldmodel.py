@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
@@ -462,6 +462,92 @@ class TestCharacterization:
         assert clone.t_read == table.t_read
         assert clone.mu_delta == table.mu_delta
         assert clone.sigma_delta == table.sigma_delta
+
+
+class TestPchipPort:
+    """The numpy PCHIP of AccessCharacterization against scipy's, bit for bit."""
+
+    # repeated levels give flat segments and slope sign changes; no level is
+    # so small that a secant slope overflows the harmonic mean
+    LEVEL = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                      st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 9), label="points")
+        start = data.draw(st.floats(-1e3, 1e3, allow_subnormal=False), label="x0")
+        gaps = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+        x = np.cumsum([start, *gaps])
+        assume(np.all(np.diff(x) > 0.0))
+        y = np.array(data.draw(st.lists(st.tuples(self.LEVEL, self.LEVEL),
+                                        min_size=n, max_size=n), label="y"))
+        inside = data.draw(st.lists(st.tuples(st.integers(0, n - 2), st.floats(0.0, 1.0)),
+                                    max_size=8), label="interior")
+        ts = [*x, *(x[i] + f * (x[i + 1] - x[i]) for i, f in inside)]
+        port = yieldmodel._Pchip(x, y)
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        for t in ts:  # every node, both grid ends included
+            if x[0] <= t <= x[-1]:
+                assert port(t) == ref(t).tolist()
+
+
+class TestBrentPort:
+    """The Brent root finder of invert_for_constraint against scipy's brentq."""
+
+    @staticmethod
+    def counted(f, calls):
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+        return wrapped
+
+    @pytest.mark.parametrize("target", [FOUR_SIGMA_PF, 1e-2, 1e-3])
+    def test_matches_scipy_on_bundled_characterization(self, default_cell,
+                                                       default_variation, target):
+        offset = default_variation.offset
+        table = characterize_access(default_cell, default_variation,
+                                    auto_read_grid(default_cell, offset), n=200)
+        lo, hi = table.t_read[0], table.t_read[-1]
+
+        def f(t):
+            return table.ber_at(t, offset) - target
+
+        port_calls, ref_calls = [], []
+        port = yieldmodel._brentq(self.counted(f, port_calls), lo, hi,
+                                  xtol=1e-12 * lo, rtol=1e-12)
+        ref = brentq(self.counted(f, ref_calls), lo, hi, xtol=1e-12 * lo, rtol=1e-12)
+        assert port == ref
+        assert port_calls == ref_calls
+        assert invert_for_constraint(table, target, offset=offset) == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0),
+           right=st.floats(1e-6, 10.0), cubic=st.floats(0.0, 10.0),
+           damp=st.floats(0.0, 5.0))
+    def test_matches_scipy_on_synthetic_brackets(self, root, left, right, cubic, damp):
+        def f(x):
+            u = x - root
+            return u * (1.0 + cubic * u * u) * math.exp(-damp * abs(u))
+
+        port_calls, ref_calls = [], []
+        port = yieldmodel._brentq(self.counted(f, port_calls), root - left, root + right,
+                                  xtol=1e-12, rtol=1e-12)
+        ref = brentq(self.counted(f, ref_calls), root - left, root + right,
+                     xtol=1e-12, rtol=1e-12)
+        assert port == ref
+        assert port_calls == ref_calls
+
+    def test_no_convergence_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(yieldmodel, "_BRENT_MAX_ITER", 3)
+        with pytest.raises(RuntimeError):
+            brentq(math.atan, -1.0, 2.0, xtol=1e-12, rtol=1e-12, maxiter=3)
+        with pytest.raises(DomainError, match="did not converge in 3 iterations"):
+            yieldmodel._brentq(math.atan, -1.0, 2.0, xtol=1e-12, rtol=1e-12)
+
+    def test_unbracketed_root_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no sign change"):
+            yieldmodel._brentq(math.atan, 1.0, 2.0, xtol=1e-12, rtol=1e-12)
 
 
 class TestInversion:
