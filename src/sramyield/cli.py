@@ -138,24 +138,35 @@ class Run:
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs = {}
-        self.outputs = []
+        self.outputs = {}
         self.seed = None
+        # every output name a command can take, checked before it does any work
+        for name in (getattr(args, flag, None) for flag in ("out", "export", "emit_iv")):
+            if name is not None:
+                self._claim(name)
 
     def note_input(self, path):
         if path is not None:
             self.inputs[str(path)] = _sha256_file(path)
 
+    def _claim(self, name):
+        """Make `name` an output of this run: a plain file name in --out-dir,
+        neither the manifest nor an output the run already has."""
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ParseError(f"output name {name!r} is not a plain file name")
+        if name == "manifest.json" or name in self.outputs:
+            raise ParseError(f"output name {name!r} is already taken in this run")
+        self.outputs[name] = self.out_dir / name
+
     def out_path(self, name):
-        p = self.out_dir / name
-        self.outputs.append(p)
-        return p
+        return self.outputs[name]
 
     def write_json(self, name, obj):
         write_json(self.out_path(name), obj)
 
     def finish(self):
         argv = list(self.args._argv)
-        out_digests = {p.name: _sha256_file(p) for p in self.outputs}
+        out_digests = {name: _sha256_file(p) for name, p in self.outputs.items()}
         stable = {
             "command": _normalized_command(argv),
             "seed": self.seed,
@@ -225,7 +236,7 @@ def cmd_fit(args, run, log):
             f"(residual norm {report.residual_norm!r})"
         )
     run.write_json(args.out, report.to_dict())
-    if args.emit_iv:
+    if args.emit_iv is not None:
         fitted = model_currents(report.params, data)
         write_csv(run.out_path(args.emit_iv), "vgs,vds,ids_data,ids_model",
                   (f"{float(vgs)!r},{float(vds)!r},{float(ids)!r},{float(m)!r}\n"
@@ -412,7 +423,7 @@ def cmd_qq(args, run, log):
 
 def cmd_mc(args, run, log):
     cell, var = _load_inputs(run, args)
-    export = run.out_path(args.export) if args.export else None
+    export = run.out_path(args.export) if args.export is not None else None
     if args.mode == "access":
         if args.t_read is None:
             raise ParseError("mc access mode needs --t-read")

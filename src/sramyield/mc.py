@@ -17,12 +17,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 from scipy.special import ndtri
 
-from .artifacts import parsing, write_csv
+from .artifacts import csv_rows, parsing, write_csv
 from .errors import DomainError, require_finite
 from .transients import default_write_t_max, delta_v_closed, delta_v_ode, write_time_closed, write_time_ode
 from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
@@ -326,18 +325,20 @@ _EXPORT_ROWS = 8192
 
 
 def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
-    """One CSV row per sample; columns not drawn for this mode stay empty."""
-    drawn = (vth_n, vth_p, v_os, metric)
-    row = ("{}" + "".join("," if c is None else ",{!r}" for c in drawn) + ",{:d}\n").format
-    columns = [c for c in drawn if c is not None]
+    """One CSV row per sample; columns not drawn for this mode stay empty.
+
+    Every float is written as its repr, so the file reads back to the exact
+    sample values.
+    """
+    columns = [vth_n, vth_p, v_os, metric]
     fail = np.asarray(fail)
 
-    def chunks():  # tolist per chunk, not per column: whole-column lists cost tens of MB
+    def chunks():  # _EXPORT_ROWS rows at a time: a whole column's text and buffers cost 100s of MB
         for s in range(0, len(vth_n), _EXPORT_ROWS):
             part = slice(s, s + _EXPORT_ROWS)
-            cols = [np.asarray(c[part], dtype=float).tolist() for c in columns]
-            idx = range(s, s + len(cols[0]))
-            yield "".join(starmap(row, zip(idx, *cols, fail[part].tolist())))
+            index = np.arange(s, min(s + _EXPORT_ROWS, len(vth_n)))
+            cells = [None if c is None else np.asarray(c[part], dtype=float) for c in columns]
+            yield csv_rows([index, *cells, fail[part]]).decode("ascii")
 
     write_csv(path, SAMPLES_CSV_HEADER, chunks())
 

@@ -1,0 +1,109 @@
+"""CSV text of numeric columns: csv_rows writes exactly the bytes of repr.
+
+The reference is Python itself: every float cell must equal `repr(float(x))`
+byte for byte, every integer cell `str(int(v))`, whatever the value, its
+neighbours in the column or the byte order of the machine.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sramyield.artifacts import csv_rows
+
+
+def reference(columns):
+    """The row format csv_rows replaces: "," between cells, repr of a float."""
+    def cell(c, i):
+        if c is None:
+            return ""
+        return repr(float(c[i])) if c.dtype.kind == "f" else str(int(c[i]))
+
+    n = len(next(c for c in columns if c is not None))
+    return "".join(",".join(cell(c, i) for c in columns) + "\n" for i in range(n)).encode()
+
+
+def float_bytes(values):
+    return csv_rows([np.asarray(values, dtype=np.float64)])
+
+
+def repr_bytes(values):
+    return "".join(repr(float(v)) + "\n" for v in values).encode()
+
+
+POWERS_OF_TWO = [2.0**k for k in range(-1074, 1024)]
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+    1e-5, 1e-4, 9.999999999999999e-05, 0.0001, 1e15, 1e16, 9999999999999998.0,
+    999999999999999.9, 1e22, 1e23, 0.1, 0.2, 0.3, 100.0, 123456789012345680.0, 0.5, 1.0, 1.5,
+    # the ends of the range formatted without repr, and where Dekker's split would overflow
+    1e-280, 1e280, 9.99999999999e279, 1.0000000001e280, 1e-281, 1e281, 1.3e301, 1e308,
+]
+
+
+@pytest.mark.parametrize("values", [EDGES, POWERS_OF_TWO, [-x for x in POWERS_OF_TWO]],
+                         ids=["edges", "powers_of_two", "negative_powers_of_two"])
+def test_fixed_values_match_repr(values):
+    assert float_bytes(values) == repr_bytes(values)
+
+
+def test_powers_of_ten_and_their_neighbours():
+    tens = 10.0 ** np.arange(-323, 309)
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    values = np.concatenate([values, -values])
+    assert float_bytes(values) == repr_bytes(values)
+
+
+def test_random_bit_patterns_match_repr():
+    rng = np.random.default_rng(20180618)
+    values = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    assert float_bytes(values) == repr_bytes(values)
+
+
+def test_sample_like_values_match_repr():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.normal(0.38, 0.02, 50_000), rng.normal(0.0, 0.003, 50_000),
+                             rng.lognormal(np.log(1.5e-11), 0.2, 50_000),
+                             rng.integers(-10**6, 10**6, 20_000) / 64.0,
+                             rng.integers(0, 2**53, 20_000).astype(np.float64)])
+    assert float_bytes(values) == repr_bytes(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_any_float_matches_repr(values):
+    assert float_bytes(values) == repr_bytes(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_any_bit_pattern_matches_repr(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert float_bytes(values) == repr_bytes(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.floats(), st.booleans()),
+                min_size=1, max_size=30))
+def test_mixed_rows_match_the_reference_writer(rows):
+    index, values, flags = (np.array(c) for c in zip(*rows))
+    columns = [index, values.astype(np.float64), None, -values.astype(np.float64), flags]
+    assert csv_rows(columns) == reference(columns)
+
+
+def test_integer_cells():
+    v = np.array([0, 7, 9, 10, 99, 1234567, 12345678, 99999999, 100000000, 2**63 - 1])
+    assert csv_rows([v]) == reference([v])
+    assert csv_rows([np.array([True, False])]) == b"1\n0\n"
+    with pytest.raises(ValueError, match="non-negative"):
+        csv_rows([np.array([3, -1])])
+
+
+def test_empty_columns_and_rows():
+    x = np.array([0.25, -3.0])
+    assert csv_rows([None, x, None]) == b",0.25,\n,-3.0,\n"
+    assert csv_rows([np.array([], dtype=float)]) == b""
+

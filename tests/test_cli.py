@@ -628,6 +628,57 @@ class TestMc:
         assert 0.0 <= payload["pf"] <= 1.0
 
 
+class TestOutputNames:
+    """Every output name is a plain file name in --out-dir, taken once per run."""
+
+    MC = ("mc", "--mode", "access", "--n", "1000", "--t-read", "1.2e-10")
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--export", "mc.json"), "already taken"),
+        (("--export", "manifest.json"), "already taken"),
+        (("--out", "manifest.json"), "already taken"),
+        (("--out", "x.json", "--export", "x.json"), "already taken"),
+        (("--export", ""), "not a plain file name"),
+        (("--export", "."), "not a plain file name"),
+        (("--export", ".."), "not a plain file name"),
+        (("--export", "../x.csv"), "not a plain file name"),
+        (("--export", "sub/x.csv"), "not a plain file name"),
+        (("--out", "/tmp/mc.json"), "not a plain file name"),
+    ])
+    def test_mc_rejects_before_running(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(mc, "draw_access_samples", lambda *a: pytest.fail("MC ran"))
+        out = tmp_path / "out"
+        assert run_cli(out, *self.MC, *flags) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
+
+    @pytest.mark.parametrize("flags", [("--emit-iv", "fit.json"), ("--emit-iv", "manifest.json"),
+                                       ("--emit-iv", ""), ("--emit-iv", "../curves.csv"),
+                                       ("--out", "manifest.json")])
+    def test_fit_rejects_before_fitting(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert run_cli(out, "fit", "--iv", BUNDLED_IV, *flags) == EXIT_PARSE
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
+
+    @pytest.mark.parametrize("argv", [
+        ("characterize", "--mode", "write", "--out", "manifest.json"),
+        ("compare", "--mode", "write", "--constraints", "2e-11", "--out", "../compare.csv"),
+        ("sweep", "--axis", "vwl", "--values", "0.6", "--mode", "access", "--out", ""),
+        ("qq", "--mode", "write", "--out", "."),
+    ])
+    def test_every_command_checks_its_name_first(self, tmp_path, monkeypatch, argv):
+        for name in ("draw_access_samples", "draw_write_samples"):
+            monkeypatch.setattr(mc, name, lambda *a: pytest.fail("sampled"))
+        out = tmp_path / "out"
+        assert run_cli(out, *argv) == EXIT_PARSE
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
+
+    def test_distinct_names_pass(self, tmp_path):
+        assert run_cli(tmp_path, *self.MC, "--out", "run.json", "--export", "mc.json") == 0
+        assert sorted(read_manifest(tmp_path)["outputs"]) == ["mc.json", "run.json"]
+        assert json.loads((tmp_path / "run.json").read_text())["samples_path"] == "mc.json"
+
+
 class TestReproducibility:
     ARGS = ("mc", "--mode", "access", "--n", "3000", "--t-read", "1.2e-10",
             "--export", "samples.csv")

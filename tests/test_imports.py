@@ -99,3 +99,21 @@ def test_closed_model_commands_load_only_scipy_special(tmp_path):
                           env={"PYTHONPATH": src, "PATH": ""})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+LIGHT_START = """
+import sys
+import sramyield.cli
+from sramyield import artifacts
+
+print([name for name in ("fractions", "decimal") if name in sys.modules],
+      artifacts._text_tables.cache_info().currsize)
+"""
+
+
+def test_start_up_loads_no_exact_arithmetic_and_builds_no_text_tables():
+    src = str(Path(sramyield.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", LIGHT_START], capture_output=True, text=True,
+                          timeout=300, env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0"

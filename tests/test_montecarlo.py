@@ -389,6 +389,31 @@ class TestExport:
                 vth_n=np.array([0.38]), metric=np.array([0.1]), fail=np.array([False]),
             )
 
+    @pytest.mark.parametrize("n", [mc._EXPORT_ROWS - 1, mc._EXPORT_ROWS, mc._EXPORT_ROWS + 1,
+                                   2 * mc._EXPORT_ROWS + 3])
+    @pytest.mark.parametrize("other", ["vth_p", "v_os"])
+    def test_export_across_chunk_edges(self, tmp_path, n, other):
+        rng = np.random.default_rng(n)
+        vth_n = rng.normal(0.38, 0.5, n)  # some at or above 1, some negative
+        vth_n[::97] = 0.5
+        vth_n[1::97] = 1.0
+        second = rng.normal(-0.01, 0.003, n)  # mostly negative, like a skewed offset
+        metric = rng.lognormal(np.log(1e-11), 2.0, n)
+        metric[::31] = np.inf
+        metric[5::53] = np.nan
+        metric[7::61] = 0.5
+        fail = rng.random(n) < 0.2
+        path = tmp_path / "edge.csv"
+        export_samples(path, vth_n=vth_n, metric=metric, fail=fail, **{other: second})
+        # the writer this export replaced: Python's format and repr, row by row
+        drawn = (vth_n, second if other == "vth_p" else None,
+                 second if other == "v_os" else None, metric)
+        row = ("{}" + "".join("," if c is None else ",{!r}" for c in drawn) + ",{:d}\n").format
+        lists = [c.tolist() for c in drawn if c is not None]
+        want = "".join(row(i, *cells) for i, *cells in zip(range(n), *lists, fail.tolist()))
+        head = f"# manifest: manifest.json\n{SAMPLES_CSV_HEADER}\n"
+        assert path.read_bytes() == (head + want).encode()
+
     def test_export_feeds_estimators(self, default_cell, tmp_path):
         path = tmp_path / "feed.csv"
         run_access_mc(default_cell, VAR, 200, T_READ, export_path=path)
