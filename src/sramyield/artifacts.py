@@ -5,7 +5,8 @@ Input artifacts (device, cell, variation, distribution JSON) are read with
 ParseError (CLI exit 2) while the constructors' own domain checks pass
 through unchanged. Outputs go through `write_json` and `write_csv`, so every
 CSV starts with the same manifest line. `csv_rows` renders numeric columns
-as CSV text in bulk, each float as its `repr`.
+as CSV text in bulk, each float as its `repr`, and `csv_text` feeds it a
+table in chunks of rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ParseError, WorkbenchError
 
 MANIFEST_LINE = "# manifest: manifest.json\n"
+_EXPORT_ROWS = 8192  # rows per csv_text chunk: a whole column's text and buffers cost 100s of MB
 
 
 @contextmanager
@@ -287,3 +289,10 @@ def csv_rows(columns):
     cells.append(np.full((n, 1), t["newline"], dtype=_WORD))
     raw = np.concatenate(cells, axis=1, dtype=_WORD).view(np.uint8).reshape(-1)
     return raw[raw.view(bool)].tobytes()
+
+
+def csv_text(n, columns_of):
+    """CSV text of an n-row table, _EXPORT_ROWS rows at a time, for write_csv:
+    columns_of(part) gives the csv_rows columns of the rows in slice `part`."""
+    for s in range(0, n, _EXPORT_ROWS):
+        yield csv_rows(columns_of(slice(s, min(s + _EXPORT_ROWS, n)))).decode("ascii")

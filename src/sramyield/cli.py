@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import bundled_json, parsing, read_json, write_csv, write_json
+from .artifacts import bundled_json, csv_text, parsing, read_json, write_csv, write_json
 from .devices import read_device_json
 from .errors import (
     DegenerateStatisticsError,
@@ -38,6 +38,7 @@ from .fitting import FitOptions, default_init, fit_device, model_currents, read_
 from .mc import (
     VariationSpec,
     access_samples,
+    cell_chunks,
     characterization_lanes,
     characterize_access,
     characterize_write,
@@ -238,9 +239,9 @@ def cmd_fit(args, run, log):
     run.write_json(args.out, report.to_dict())
     if args.emit_iv is not None:
         fitted = model_currents(report.params, data)
+        columns = [np.asarray(c, dtype=float) for c in (data.vgs, data.vds, data.ids, fitted)]
         write_csv(run.out_path(args.emit_iv), "vgs,vds,ids_data,ids_model",
-                  (f"{float(vgs)!r},{float(vds)!r},{float(ids)!r},{float(m)!r}\n"
-                   for vgs, vds, ids, m in zip(data.vgs, data.vds, data.ids, fitted)))
+                  csv_text(len(fitted), lambda part: [c[part] for c in columns]))
     print(
         f"fit converged in {report.iterations} residual evaluations: "
         f"max_rel_error_sat={report.max_rel_error_sat:.4f} "
@@ -317,30 +318,32 @@ def cmd_yield(args, run, log):
 
 
 def _closed_model(args, var):
-    """Closed-oracle characterization of the mode's distribution, per cell.
+    """Closed-oracle characterization of the mode's distribution: a function
+    of one cell or a sequence of cells, and the lanes each cell takes.
 
     Closed access dv and the closed write time depend on vth_n only, so the
-    returned function draws the characterization lanes on its first call and
+    function draws the characterization lanes on its first call and
     evaluates every later cell of the command on the same lanes.
     """
     n = (200 if args.mode == "access" else 1600) if args.char_n is None else args.char_n
-    lanes = functools.cache(lambda count: characterization_lanes(args.mode, var, count,
-                                                                 args.threads))
+    per_cell = n * args.grid_points if args.mode == "access" else n
+    lanes = functools.cache(lambda: characterization_lanes(args.mode, var, per_cell,
+                                                           args.threads))
 
     def model(cell):
         if args.mode == "access":
             grid = auto_read_grid(cell, var.offset, points=args.grid_points)
-            return characterize_access(cell, var, grid, n=n, mode="closed",
-                                       lanes=lanes(len(grid) * n))
-        return characterize_write(cell, var, n=n, mode="closed", t0=args.t0, lanes=lanes(n))
+            return characterize_access(cell, var, grid, n=n, mode="closed", lanes=lanes())
+        return characterize_write(cell, var, n=n, mode="closed", t0=args.t0, lanes=lanes())
 
-    return model
+    return model, per_cell
 
 
 def cmd_compare(args, run, log):
     cell, var = _load_inputs(run, args)
     constraints = _parse_float_list(args.constraints, "constraint")
-    model = _closed_model(args, var)(cell)
+    characterize, _ = _closed_model(args, var)
+    model = characterize(cell)
     if args.mode == "access":
         analytical = model.ber_at(constraints, var.offset).tolist()
     else:
@@ -383,19 +386,27 @@ def cmd_sweep(args, run, log):
             "temperature sweep re-evaluates the thermal voltage only; "
             "fitted device constants are held at their extraction corner"
         )
-    characterize = _closed_model(args, var)
-    rows = []
-    for v in values:
-        try:
-            model = characterize(_sweep_cell(base, args.axis, v))
-            t = invert_for_constraint(model, args.target, offset=var.offset)
-        except WorkbenchError as exc:
-            raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc
-        rows.append((v, t))
-    t_ref = rows[0][1]
+    model, per_cell = _closed_model(args, var)
+
+    def solve(points):  # characterize chunk by chunk, then invert every point at once
+        models = []
+        for chunk in cell_chunks(points, per_cell):
+            models += model([_sweep_cell(base, args.axis, v) for v in chunk])
+        return invert_for_constraint(models, args.target, offset=var.offset).tolist()
+
+    try:
+        times = solve(values)
+    except WorkbenchError:
+        for v in values:  # alone, each point fails as it would in a loop over points
+            try:
+                solve([v])
+            except WorkbenchError as exc:
+                raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc
+        raise
+    t_ref = times[0]
     write_csv(run.out_path(args.out), "axis,value,t_at_target,normalized",
-              (f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n" for v, t in rows))
-    for v, t in rows:
+              (f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n" for v, t in zip(values, times)))
+    for v, t in zip(values, times):
         print(f"{args.axis}={v!r}: t@pf={args.target!r} is {t!r} s ({t / t_ref!r} of first)")
 
 

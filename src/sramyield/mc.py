@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .artifacts import csv_rows, parsing, write_csv
+from .artifacts import csv_text, parsing, write_csv
 from .errors import DomainError, require_finite
-from .transients import default_write_t_max, delta_v_closed, delta_v_ode, write_time_closed, write_time_ode
+from .transients import (CellConfig, default_write_t_max, delta_v_closed, delta_v_ode,
+                         write_time_closed, write_time_ode)
 from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
                          estimate_delta_params, estimate_write_params)
 
@@ -32,6 +33,9 @@ _ROLE_WRITE = 2
 _ROLES = {"access": _ROLE_ACCESS, "write": _ROLE_WRITE}
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; the generator can emit exactly 0.0
 _BLOCK = 1 << 16  # samples per stream block, whatever the thread count
+# lanes per chunk of a many-cell pass; 2**16-lane chunks ran no faster on a
+# 2-core host and held about 3 MB more at once
+_CHUNK_LANES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,13 @@ def _stream(fn, n, threads):
 
 # -- sample evaluation ------------------------------------------------------------
 
-def _check_pass(n, mode):
+def _check_pass(n, mode, cell):
     if n < 1:
         raise DomainError("n must be >= 1")
     if mode not in ("closed", "ode"):
         raise DomainError(f"oracle mode must be 'closed' or 'ode', got {mode!r}")
+    if mode == "ode" and not isinstance(cell, CellConfig):
+        raise DomainError("the ode oracles take one cell at a time")
 
 
 def _role(name):
@@ -222,13 +228,13 @@ def _samples(role, cell, var, n, mode, threads, t):
     write (None picks the default). Returns (vth_n, other, metric) arrays in
     sample-index order; other is v_os for access and vth_p for write.
     """
-    _check_pass(n, mode)
+    _check_pass(n, mode, cell)
 
     def block(start, count):
         vth_n, other = _draw_role(role, var, start, count)
         return vth_n, other, _oracle(role, cell, mode, vth_n, other, t)
 
-    return tuple(np.concatenate(cols) for cols in zip(*_stream(block, n, threads)))
+    return tuple(np.concatenate(cols, axis=-1) for cols in zip(*_stream(block, n, threads)))
 
 
 def access_samples(cell, var, n, t_read, mode="closed", threads=1):
@@ -268,7 +274,7 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
             t_max = default_write_t_max(cell) if t_max is None else t_max
             if c > t_max:
                 raise DomainError(f"t_write {c!r} exceeds the censoring horizon t_max {t_max!r}")
-    _check_pass(n, mode)
+    _check_pass(n, mode, cell)
 
     def block(start, count):
         vth_n, other = _draw_role(role, var, start, count)
@@ -321,7 +327,6 @@ def run_mc(role, cell, var, n, constraints, mode="closed", threads=1):
 
 
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
-_EXPORT_ROWS = 8192
 
 
 def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
@@ -332,15 +337,10 @@ def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
     """
     columns = [vth_n, vth_p, v_os, metric]
     fail = np.asarray(fail)
-
-    def chunks():  # _EXPORT_ROWS rows at a time: a whole column's text and buffers cost 100s of MB
-        for s in range(0, len(vth_n), _EXPORT_ROWS):
-            part = slice(s, s + _EXPORT_ROWS)
-            index = np.arange(s, min(s + _EXPORT_ROWS, len(vth_n)))
-            cells = [None if c is None else np.asarray(c[part], dtype=float) for c in columns]
-            yield csv_rows([index, *cells, fail[part]]).decode("ascii")
-
-    write_csv(path, SAMPLES_CSV_HEADER, chunks())
+    write_csv(path, SAMPLES_CSV_HEADER, csv_text(len(vth_n), lambda part: [
+        np.arange(part.start, part.stop),
+        *(None if c is None else np.asarray(c[part], dtype=float) for c in columns),
+        fail[part]]))
 
 
 # -- characterization -------------------------------------------------------------
@@ -353,20 +353,23 @@ def characterize_access(cell, var, t_grid, n=200, mode="closed", threads=1, lane
     points averages it down. All G*n blocks are drawn once and evaluated in
     one oracle call, each read time repeated over its row; `lanes`, those
     blocks from characterization_lanes("access", var, G*n), replaces the draw.
+    A sequence of cells, with one row of t_grid per cell, is evaluated on
+    the same lanes in that one call and gives a list of characterizations.
     """
-    t_grid = sorted(float(t) for t in t_grid)
-    if len(t_grid) < 1:
+    t_grid = np.sort(np.asarray(t_grid, dtype=float), axis=-1)
+    points = t_grid.shape[-1]
+    if points < 1:
         raise DomainError("characterization grid needs at least 1 point")
-    _check_pass(n, mode)
+    _check_pass(n, mode, cell)
     if lanes is None:
-        lanes = characterization_lanes("access", var, len(t_grid) * n, threads)
-    dv = _oracle(_ROLE_ACCESS, cell, mode, *lanes, np.repeat(t_grid, n))
-    dists = [estimate_delta_params(row) for row in dv.reshape(len(t_grid), n)]
-    return AccessCharacterization(
-        t_read=tuple(t_grid),
-        mu_delta=tuple(d.mu_delta for d in dists),
-        sigma_delta=tuple(d.sigma_delta for d in dists),
-    )
+        lanes = characterization_lanes("access", var, points * n, threads)
+    dv = _oracle(_ROLE_ACCESS, cell, mode, *lanes, np.repeat(t_grid, n, axis=-1))
+    dists = estimate_delta_params(dv.reshape(-1, n))
+    tables = [AccessCharacterization(t_read=tuple(t), mu_delta=tuple(d.mu_delta for d in row),
+                                     sigma_delta=tuple(d.sigma_delta for d in row))
+              for t, row in zip(t_grid.reshape(-1, points).tolist(),
+                                (dists[i:i + points] for i in range(0, len(dists), points)))]
+    return tables[0] if isinstance(cell, CellConfig) else tables
 
 
 def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, threads=1,
@@ -374,13 +377,22 @@ def characterize_write(cell, var, n=1600, mode="closed", t0=None, t_max=None, th
     """Moment estimation for the write-time distribution from n samples.
 
     `lanes`, blocks [0, n) from characterization_lanes("write", var, n),
-    replaces the draw.
+    replaces the draw. A sequence of cells is evaluated on the same lanes and
+    gives a list of distributions.
     """
     if t0 is None:
         t0 = DEFAULT_T0
     if lanes is None:
         _, _, t = write_samples(cell, var, n, mode=mode, t_max=t_max, threads=threads)
     else:
-        _check_pass(n, mode)
+        _check_pass(n, mode, cell)
         t = _oracle(_ROLE_WRITE, cell, mode, *lanes, t_max)
     return estimate_write_params(t, t0=t0)
+
+
+def cell_chunks(cells, lanes_per_cell):
+    """Consecutive chunks of a list of cells, each of at most _CHUNK_LANES
+    lanes and at least one cell, so a pass over many cells holds
+    O(_CHUNK_LANES) lanes at a time."""
+    size = max(1, _CHUNK_LANES // max(lanes_per_cell, 1))
+    return [cells[s:s + size] for s in range(0, len(cells), size)]

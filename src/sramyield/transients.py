@@ -14,7 +14,10 @@ sampled access prefactor. Quadrature tables depend only on the cell, so
 results are identical across runs and thread counts.
 
 All vth arguments are per-sample threshold voltages; vectorized inputs are
-evaluated lane-by-lane with no cross-lane coupling.
+evaluated lane-by-lane with no cross-lane coupling. The closed forms also take
+a sequence of cells: each cell's constants become a (C, 1) column that the
+lane arrays broadcast against, and every lane gets the bits it would get in a
+call for its cell alone.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,11 +68,37 @@ _GAUSS = {order: _gauss_legendre(order) for order in (8, 16, 32)}
 
 
 def _composite_rule(edges, order):
-    """Flattened (nodes, weights) of the `order`-node Gauss-Legendre rule on
-    every panel between consecutive edges."""
+    """(nodes, weights) of the `order`-node Gauss-Legendre rule on every panel
+    between consecutive edges, flattened along the last axis."""
     x, w = _GAUSS[order]
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
+    mid, half = 0.5 * (edges[..., 1:] + edges[..., :-1]), 0.5 * np.diff(edges, axis=-1)
+    shape = edges.shape[:-1] + (-1,)
+    return (mid[..., None] + half[..., None] * x).reshape(shape), (half[..., None] * w).reshape(shape)
+
+
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num) along a new last axis, for floats or
+    (C, 1) columns, with numpy's arithmetic in every row: start + k*step, or
+    start + k/(num-1)*(stop-start) where the step underflows to 0, then the
+    last point set to stop. Given columns, np.linspace itself takes the
+    second form in every row once one row needs it."""
+    delta = stop - start
+    step = delta / (num - 1)
+    k = np.arange(num, dtype=float)
+    y = k * step
+    if np.any(step == 0):
+        y = np.where(step == 0, k / (num - 1) * delta, y)
+    y += start
+    y[..., -1:] = stop
+    return y
+
+
+def _libm_exp(x):
+    """math.exp of a float, or of each entry of a per-cell column. Per-cell
+    scalars keep libm's bits, which np.exp does not always reproduce."""
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -153,32 +183,8 @@ class CellConfig:
     @cached_property
     def w_trip(self):
         """W(beta0), the write integral of dv / (h_n - beta0*h_p) over
-        [v_trip, vdd] (V/A), computed once.
-
-        One _drives call covers a 1025-point grid, on which the net drive must
-        stay positive, and the nodes of 8- and 16-node composite rules; where
-        the two rules disagree, adaptive quadrature decides.
-        """
-        if not self.v_trip < self.vdd:
-            raise ModelInapplicableError(
-                f"v_trip {self.v_trip} is not below the write start voltage vdd {self.vdd}")
-        cuts = [self.vddc] if self.vddc < self.vdd else []
-        (v8, w8), (v16, w16) = (_composite_rule(_write_edges(self, cuts), order)
-                                for order in (8, 16))
-        v = np.concatenate([np.linspace(self.v_trip, self.vdd, 1025), v8, v16])
-        h_n, h_p = _drives(self, v)
-        net = h_n - self.beta0 * h_p
-        if not np.min(net) > 0.0:
-            raise ModelInapplicableError(
-                "pull-up overpowers pull-down in the closed write model "
-                f"near v_q = {v[int(np.argmin(net))]:.4f} V; closed write times are undefined"
-            )
-        split = v.size - w16.size
-        coarse = np.add.accumulate(w8 / net[split - w8.size:split])[-1]
-        total = np.add.accumulate(w16 / net[split:])[-1]
-        if not abs(total - coarse) <= _WRITE_REL_TOL * total:
-            total = _trip_quad(self, self.beta0, cuts)
-        return float(total)
+        [v_trip, vdd] (V/A), computed once: _trip_integrals of this cell alone."""
+        return float(_trip_integrals([self])[0])
 
     # -- serialization --------------------------------------------------------
     def to_dict(self):
@@ -222,6 +228,31 @@ def write_cell_json(cell, path):
 def load_default_cell():
     """Bundled desk-scale default cell."""
     return CellConfig.from_dict(bundled_json("default_cell.json"))
+
+
+_CELL_COLUMNS = ("vdd", "vwl", "vddc", "c_blb", "c_q", "v_trip", "beta0")
+_DEVICE_COLUMNS = ("i0", "k1", "k2", "dibl", "n", "vth_nominal")
+
+
+def _columns(cell):
+    """The constants the closed forms read, with the thermal voltage vt: floats
+    (and the DeviceParams) of one CellConfig, or (C, 1) columns of a sequence
+    of cells."""
+    if isinstance(cell, CellConfig):
+        return SimpleNamespace(nmos=cell.nmos, pmos=cell.pmos,
+                               vt=thermal_voltage(cell.temperature_c),
+                               **{k: getattr(cell, k) for k in _CELL_COLUMNS})
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    def device(name):
+        return SimpleNamespace(**{k: column([getattr(getattr(c, name), k) for c in cell])
+                                  for k in _DEVICE_COLUMNS})
+
+    return SimpleNamespace(nmos=device("nmos"), pmos=device("pmos"),
+                           vt=column([thermal_voltage(c.temperature_c) for c in cell]),
+                           **{k: column([getattr(c, k) for c in cell]) for k in _CELL_COLUMNS})
 
 
 @dataclass(frozen=True)
@@ -271,39 +302,45 @@ def delta_v_closed(cell, vth_n, t_read):
     Solves the discharge balance exactly with the per-sample gate polynomial,
     dropping only the near-unity drain factor of the access transistor. The
     zero-DIBL case is the continuous limit (a linear ramp clamped at vdd).
-    Accepts scalar or array vth_n / t_read.
+    Accepts scalar or array vth_n / t_read, and one cell or a sequence.
     """
     vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t_read must be >= 0")
-    nm = cell.nmos
-    vt = thermal_voltage(cell.temperature_c)
-    p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    ramp = nm.i0 * np.exp(p) * t / cell.c_blb  # discharge without the DIBL factor
-    z = nm.dibl / (nm.n * vt)
-    if z == 0.0:
-        dv = ramp
-    else:
-        arg = z * ramp * math.exp(z * cell.vdd)
-        drained = arg <= -1.0
-        dv = np.where(drained, cell.vdd, np.log1p(np.where(drained, 0.0, arg)) / z)
-    dv = np.clip(dv, 0.0, cell.vdd)
+    c = _columns(cell)
+    nm = c.nmos
+    p = np.clip(gate_polynomial(nm, c.vwl, c.vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    ramp = nm.i0 * np.exp(p) * t / c.c_blb  # discharge without the DIBL factor
+    z = nm.dibl / (nm.n * c.vt)
+    linear = z == 0.0
+    z = np.where(linear, 1.0, z)  # zero DIBL takes the ramp itself, below
+    arg = z * ramp * _libm_exp(z * c.vdd)
+    drained = arg <= -1.0
+    dv = np.where(drained, c.vdd, np.log1p(np.where(drained, 0.0, arg)) / z)
+    if np.any(linear):
+        dv = np.where(linear, ramp, dv)
+    dv = np.clip(dv, 0.0, c.vdd)
     return float(dv) if dv.ndim == 0 else dv
 
 
 def read_time_closed(cell, vth_n, dv):
     """Read time at which delta_v_closed reaches dv in (0, vdd): its exact inverse,
     t = c_blb/(i0*e^p) * expm1(z*dv)/(z*e^(z*vdd)), or c_blb*dv/(i0*e^p) at zero
-    DIBL. Overflow gives a time of 0 or inf. Accepts scalar or array vth_n / dv.
+    DIBL. Overflow gives a time of 0 or inf. Accepts scalar or array vth_n / dv
+    (None is the nominal threshold), and one cell or a sequence.
     """
-    nm = cell.nmos
-    vt = thermal_voltage(cell.temperature_c)
-    p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    z = nm.dibl / (nm.n * vt)
+    c = _columns(cell)
+    nm = c.nmos
+    p = np.clip(gate_polynomial(nm, c.vwl, c.vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    z = nm.dibl / (nm.n * c.vt)
+    linear = z == 0.0
+    z = np.where(linear, 1.0, z)
     with np.errstate(over="ignore", divide="ignore"):
-        ramp = dv if z == 0.0 else np.expm1(z * dv) / (z * np.exp(z * cell.vdd))
-        return cell.c_blb / (nm.i0 * np.exp(p)) * ramp
+        ramp = np.expm1(z * dv) / (z * np.exp(z * c.vdd))
+        if np.any(linear):
+            ramp = np.where(linear, dv, ramp)
+        return c.c_blb / (nm.i0 * np.exp(p)) * ramp
 
 
 def delta_v_linearized(cell, vth_n, t_read, p0=None):
@@ -381,27 +418,26 @@ def write_time_closed(cell, vth_n):
     its nominal value beta0 (CellConfig.w_trip), so only the access-transistor
     polynomial varies per sample and at nominal thresholds the two agree.
     Raises ModelInapplicableError when the frozen pull-up overpowers the
-    pull-down anywhere on the integration path.
+    pull-down anywhere on the integration path. Takes one cell or a sequence.
     """
-    w = cell.w_trip
-    nm = cell.nmos
-    vt = thermal_voltage(cell.temperature_c)
-    p_n = np.clip(gate_polynomial(nm, cell.vwl, vt, np.asarray(vth_n, dtype=float)),
+    w = cell.w_trip if isinstance(cell, CellConfig) else _trip_integrals(cell)[:, None]
+    c = _columns(cell)
+    p_n = np.clip(gate_polynomial(c.nmos, c.vwl, c.vt, np.asarray(vth_n, dtype=float)),
                   -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    t = cell.c_q * np.exp(-p_n) * w
+    t = c.c_q * np.exp(-p_n) * w
     return float(t) if np.ndim(t) == 0 else t
 
 
 def _write_edges(cell, cuts, v_star=None):
-    """Panel edges on the write path [v_trip, vdd].
+    """Panel edges on the write path [v_trip, vdd], along the last axis.
 
     _WRITE_PANELS equal panels between consecutive cuts (vddc, the kink of
     h_p, and for the ODE lanes v*), plus, given v*, edges halving their
     distance to it, where the integrand of a lane near r_crit peaks.
     """
     ends = [cell.v_trip, *sorted(cuts), cell.vdd]
-    edges = np.concatenate([np.linspace(a, b, _WRITE_PANELS + 1)[:-1]
-                            for a, b in zip(ends[:-1], ends[1:])] + [[cell.vdd]])
+    parts = [_linspace(a, b, _WRITE_PANELS + 1) for a, b in zip(ends[:-1], ends[1:])]
+    edges = np.concatenate([part[..., :-1] for part in parts] + [parts[-1][..., -1:]], axis=-1)
     if v_star is None:
         return edges
     width = (cell.vdd - cell.v_trip) / _WRITE_PANELS
@@ -410,16 +446,53 @@ def _write_edges(cell, cuts, v_star=None):
     return edges[(edges >= cell.v_trip) & (edges <= cell.vdd)]
 
 
-def _drives(cell, v):
+def _drives(c, v):
     """(h_n, h_p) on the write path: the access and pull-up currents at p = 0
-    (vth = vgs makes each gate polynomial exactly 0)."""
-    vt = thermal_voltage(cell.temperature_c)
-    vds_p = np.maximum(cell.vddc - v, 0.0)
-    return (_current_proposed(cell.nmos, cell.vwl, v, vt, cell.vwl),
-            _current_proposed(cell.pmos, cell.vddc, vds_p, vt, cell.vddc))
+    (vth = vgs makes each gate polynomial exactly 0), for _columns `c`."""
+    vds_p = np.maximum(c.vddc - v, 0.0)
+    return (_current_proposed(c.nmos, c.vwl, v, c.vt, c.vwl),
+            _current_proposed(c.pmos, c.vddc, vds_p, c.vt, c.vddc))
 
 
-def _trip_quad(cell, ratio, cuts):
+def _trip_integrals(cells):
+    """W(beta0) of each cell of a sequence (V/A): the write integral of
+    dv / (h_n - beta0*h_p) over [v_trip, vdd] at the nominal contention ratio.
+
+    One _drives call covers, for every cell, a 1025-point grid on which the
+    net drive must stay positive, and the nodes of 8- and 16-node composite
+    rules on two segments split at vddc, the kink of h_p; where the two rules
+    disagree, adaptive quadrature decides. Without a kink on the path (vddc
+    >= vdd) the second segment shrinks to vdd, and its zero-width panels add
+    exact zeros to the left-to-right sums. A failing cell raises; the first
+    one does if several fail.
+    """
+    c = _columns(cells)
+    edges = _write_edges(c, [np.minimum(c.vddc, c.vdd)])
+    (v8, w8), (v16, w16) = (_composite_rule(edges, order) for order in (8, 16))
+    v = np.concatenate([_linspace(c.v_trip, c.vdd, 1025), v8, v16], axis=-1)
+    h_n, h_p = _drives(c, v)
+    net = h_n - c.beta0 * h_p
+    failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(np.min(net, axis=-1) > 0.0))
+    if failing.size:
+        i = failing[0]
+        cell = cells[i]
+        if not cell.v_trip < cell.vdd:
+            raise ModelInapplicableError(
+                f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
+        raise ModelInapplicableError(
+            "pull-up overpowers pull-down in the closed write model "
+            f"near v_q = {v[i, int(np.argmin(net[i]))]:.4f} V; closed write times are undefined"
+        )
+    split = v.shape[-1] - w16.shape[-1]
+    coarse = np.add.accumulate(w8 / net[:, split - w8.shape[-1]:split], axis=-1)[:, -1]
+    total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]
+    for i in np.flatnonzero(~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
+        cell = cells[i]
+        total[i] = _trip_quad(_columns(cell), cell.beta0, [cell.vddc] if cell.vddc < cell.vdd else [])
+    return total
+
+
+def _trip_quad(c, ratio, cuts):
     """W(ratio) by adaptive quadrature split at `cuts`, where fixed rules disagree.
 
     full_output keeps quad's roundoff warning near r_crit off stderr (and,
@@ -429,10 +502,10 @@ def _trip_quad(cell, ratio, cuts):
     from scipy.integrate import quad  # fallback only: keeps scipy.integrate off start-up
 
     def integrand(v):
-        h_n, h_p = _drives(cell, v)
+        h_n, h_p = _drives(c, v)
         return 1.0 / (h_n - ratio * h_p)
 
-    return quad(integrand, cell.v_trip, cell.vdd, points=cuts or None,
+    return quad(integrand, c.v_trip, c.vdd, points=cuts or None,
                 epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200, full_output=1)[0]
 
 
@@ -460,6 +533,7 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     r = np.exp(p_p - p_n)
 
     r_crit, v_star = _critical_ratio(cell)
+    c = _columns(cell)
     live = r < r_crit
     r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
     cuts = [v for v in (cell.vddc, v_star) if cell.v_trip < v < cell.vdd]
@@ -467,14 +541,14 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     sums = []
     for order in (8, 16):
         nodes, w = _composite_rule(edges, order)
-        h_n, h_p = _drives(cell, nodes)
+        h_n, h_p = _drives(c, nodes)
         acc = np.zeros(r.shape)
         for wk, nk, pk in zip(w, h_n, h_p):
             acc += wk / (nk - r_live * pk)
         sums.append(acc)
     coarse, total = sums
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        total[i] = _trip_quad(cell, r[i], cuts)
+        total[i] = _trip_quad(c, r[i], cuts)
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t
@@ -488,11 +562,12 @@ def _critical_ratio(cell):
     """
     from scipy.optimize import minimize_scalar  # ODE write path only
 
-    grid = np.linspace(cell.v_trip, min(cell.vdd, cell.vddc), 1025)
+    c = _columns(cell)
+    grid = np.linspace(c.v_trip, min(c.vdd, c.vddc), 1025)
     with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
-        ratio = np.divide(*_drives(cell, grid))
+        ratio = np.divide(*_drives(c, grid))
     i = int(np.argmin(ratio))
-    best = minimize_scalar(lambda v: float(np.divide(*_drives(cell, v))), method="bounded",
+    best = minimize_scalar(lambda v: float(np.divide(*_drives(c, v))), method="bounded",
                            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
                            options={"xatol": 1e-15})
     if best.fun < ratio[i]:

@@ -12,7 +12,6 @@ deficit, so constructors warn below a mu/sigma ratio of 4.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,9 +20,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .artifacts import parsing, read_json, write_csv, write_json
+from .artifacts import csv_text, parsing, read_json, write_csv, write_json
 from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
-from .transients import _composite_rule, read_time_closed
+from .transients import CellConfig, _composite_rule, read_time_closed
 
 SINGLE_BRANCH_RATIO = 4.0
 FOUR_SIGMA_PF = 3.17e-5
@@ -34,6 +33,9 @@ _BER_REL_TOL = 1e-12  # 16- vs 32-node agreement; beyond it, adaptive quadrature
 # offset quantiles mu + z*sigma at the ends of auto_read_grid's read-time grid
 _GRID_Z_LO, _GRID_Z_HI = 1.6, 5.2
 _BRENT_MAX_ITER = 100  # scipy's brentq default
+# (distribution, node) terms per BER call of a batched inversion; 2**16 held
+# about 0.6 MB more at once and ran no faster on a 2-core host
+_BER_TERMS = 1 << 14
 
 
 def _check_moments(mu, sigma, what):
@@ -156,50 +158,60 @@ class OffsetVoltageDist:
 
 # -- estimation -----------------------------------------------------------------
 
-def _sqrt_moments(samples, what, floor, floor_advice, root):
-    """Mean and sample deviation of root(samples), all of which must exceed floor.
+def _estimate(cls, samples, what, floor, floor_advice, root, **fields):
+    """`cls` of the mean and sample deviation of root(samples), every sample
+    above floor; a 2-D array gives a list, one per row.
 
-    An inf sample is a censored lane, which carries no moment information.
+    Rows go in order: those before the first failing row are built (and warn
+    as they would alone), then that row's error is raised. An inf sample is a
+    censored lane, which carries no moment information.
     """
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size < 30:
+    rows = np.asarray(samples, dtype=float)
+    if rows.ndim != 2:
+        rows = rows.reshape(1, -1)
+    if rows.shape[1] < 30:
         raise DegenerateStatisticsError(
-            f"{what} estimation needs at least 30 samples, got {arr.size}"
+            f"{what} estimation needs at least 30 samples, got {rows.shape[1]}"
         )
-    censored = np.nonzero(arr == np.inf)[0]
-    if censored.size:
-        raise DegenerateStatisticsError(
-            f"{what} sample {int(censored[0])} is inf (censored): no finite moments"
-        )
-    bad = np.nonzero(~(arr > floor))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(
-            f"{what} sample {i} = {float(arr[i])!r} is not above {floor_advice}"
-        )
-    r = root(arr)
-    mu = float(np.mean(r))
-    sigma = float(np.std(r, ddof=1))
+    invalid = ~((rows > floor) & (rows < np.inf)).all(axis=1)
+    stop = int(np.argmax(invalid)) if invalid.any() else len(rows)
+    r = root(rows[:stop])
+    mu, sigma = np.mean(r, axis=1), np.std(r, axis=1, ddof=1)
     # relative floor: identical inputs leave only mean-subtraction rounding
-    if not sigma > mu * 1e-12:
-        raise DegenerateStatisticsError(f"{what} samples have zero variance")
-    return mu, sigma
+    flat = ~(sigma > mu * 1e-12)
+    error = None
+    if flat.any():
+        stop = int(np.argmax(flat))
+        error = DegenerateStatisticsError(f"{what} samples have zero variance")
+    elif stop < len(rows):
+        row = rows[stop]
+        censored = np.flatnonzero(row == np.inf)
+        if censored.size:
+            error = DegenerateStatisticsError(
+                f"{what} sample {int(censored[0])} is inf (censored): no finite moments")
+        else:
+            i = int(np.flatnonzero(~(row > floor))[0])
+            error = DomainError(f"{what} sample {i} = {float(row[i])!r} is not above {floor_advice}")
+    dists = [cls(m, s, **fields) for m, s in zip(mu[:stop].tolist(), sigma[:stop].tolist())]
+    if error is not None:
+        raise error
+    return dists if np.ndim(samples) == 2 else dists[0]
 
 
 def estimate_delta_params(samples):
-    """Sample moments of sqrt(delta_v). All samples must be positive volts."""
-    mu, sigma = _sqrt_moments(samples, "delta_v", 0.0, "zero", np.sqrt)
-    return DeltaVDistribution(mu_delta=mu, sigma_delta=sigma)
+    """Sample moments of sqrt(delta_v). All samples must be positive volts.
+    A 2-D array gives a list of distributions, one per row."""
+    return _estimate(DeltaVDistribution, samples, "delta_v", 0.0, "zero", np.sqrt)
 
 
 def estimate_write_params(samples, t0=DEFAULT_T0):
-    """Sample moments of sqrt(ln(t/t0)). Samples at or below t0 are rejected."""
+    """Sample moments of sqrt(ln(t/t0)). Samples at or below t0 are rejected.
+    A 2-D array gives a list of distributions, one per row."""
     if not t0 > 0.0:
         raise DomainError(f"t0 must be > 0, got {t0}")
-    mu, sigma = _sqrt_moments(samples, "write-time", t0,
-                              f"t0 = {t0!r}; choose a smaller reference t0",
-                              lambda t: np.sqrt(np.log(t / t0)))
-    return WriteTimeDistribution(mu_w=mu, sigma_w=sigma, t0=t0)
+    return _estimate(WriteTimeDistribution, samples, "write-time", t0,
+                     f"t0 = {t0!r}; choose a smaller reference t0",
+                     lambda t: np.sqrt(np.log(t / t0)), t0=t0)
 
 
 # -- densities and failure probabilities -----------------------------------------
@@ -342,7 +354,8 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 class _Pchip:
-    """Monotone piecewise-cubic (PCHIP) interpolant of each column of y over x.
+    """Monotone piecewise-cubic (PCHIP) interpolants: x (..., G) increasing,
+    y (..., G, k), one table per leading index, each column interpolated.
 
     A numpy port of scipy's PchipInterpolator that reproduces its bits:
     Fritsch-Butland weighted-harmonic-mean slopes inside (zero at a flat
@@ -354,31 +367,51 @@ class _Pchip:
     """
 
     def __init__(self, x, y):
-        self.x = tuple(x.tolist())
-        if x.size == 1:
-            self.pieces = [[(0.0, 0.0, 0.0, v) for v in y[0].tolist()]]
+        self.x = x
+        if x.shape[-1] == 1:
+            zero = np.zeros_like(y)
+            self.c = np.stack([zero, zero, zero, y], axis=-1)  # (..., piece, k, 4)
             return
-        h = np.diff(x)[:, None]
-        m = np.diff(y, axis=0) / h
-        if x.size == 2:
-            d = np.concatenate([m, m])
+        h = np.diff(x, axis=-1)[..., None]
+        m = np.diff(y, axis=-2) / h
+        if x.shape[-1] == 2:
+            d = np.concatenate([m, m], axis=-2)
         else:
-            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            h0, h1, m0, m1 = h[..., :-1, :], h[..., 1:, :], m[..., :-1, :], m[..., 1:, :]
+            w1, w2 = 2 * h1 + h0, h1 + 2 * h0
             with np.errstate(divide="ignore", invalid="ignore"):
-                inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            d = np.concatenate([_pchip_end_slope(h[0], h[1], m[0], m[1])[None],
-                                np.where(flat, 0.0, inner),
-                                _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]])
-        bend = (d[:-1] + d[1:] - 2 * m) / h
-        c = np.stack([bend / h, (m - d[:-1]) / h - bend, d[:-1], y[:-1]])
-        self.pieces = c.transpose(1, 2, 0).tolist()  # [piece][column] -> (c0, c1, c2, c3)
+                inner = 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+            flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+            first = _pchip_end_slope(h[..., 0, :], h[..., 1, :], m[..., 0, :], m[..., 1, :])
+            last = _pchip_end_slope(h[..., -1, :], h[..., -2, :], m[..., -1, :], m[..., -2, :])
+            d = np.concatenate([first[..., None, :], np.where(flat, 0.0, inner),
+                                last[..., None, :]], axis=-2)
+        bend = (d[..., :-1, :] + d[..., 1:, :] - 2 * m) / h
+        self.c = np.stack([bend / h, (m - d[..., :-1, :]) / h - bend, d[..., :-1, :],
+                           y[..., :-1, :]], axis=-1)
 
-    def __call__(self, t):
-        """Values of every column at t, which must lie in [x[0], x[-1]]."""
-        i = min(bisect.bisect_right(self.x, t), len(self.pieces)) - 1
-        s = t - self.x[i]
-        return [c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s) for c0, c1, c2, c3 in self.pieces[i]]
+    def __call__(self, t, rows=...):
+        """Values (..., k) of every column of the tables `rows` at t (...),
+        which must lie in [x[0], x[-1]] of each table."""
+        t = np.asarray(t, dtype=float)
+        x, c = self.x[rows], self.c[rows]
+        i = np.minimum(np.sum(x <= t[..., None], axis=-1), c.shape[-3]) - 1
+        s = (t - np.take_along_axis(x, i[..., None], axis=-1)[..., 0])[..., None]
+        c = np.take_along_axis(c, i[..., None, None, None], axis=-3)[..., 0, :, :]
+        return c[..., 3] + c[..., 2] * s + c[..., 1] * (s * s) + c[..., 0] * (s * s * s)
+
+
+def _table(chars):
+    """One _Pchip over the (t_read; mu_delta, sigma_delta) tables of a sequence
+    of AccessCharacterization that share a grid size."""
+    return _Pchip(np.array([c.t_read for c in chars]),
+                  np.stack([np.array([c.mu_delta for c in chars]),
+                            np.array([c.sigma_delta for c in chars])], axis=-1))
+
+
+def _distributions(moments):
+    """DeltaVDistribution of each (mu, sigma) row of an (m, 2) array."""
+    return [DeltaVDistribution(mu, sigma) for mu, sigma in moments.tolist()]
 
 
 @dataclass(frozen=True)
@@ -410,14 +443,17 @@ class AccessCharacterization:
         object.__setattr__(self, "t_read", tuple(float(v) for v in t))
         object.__setattr__(self, "mu_delta", tuple(float(v) for v in mu))
         object.__setattr__(self, "sigma_delta", tuple(float(v) for v in sg))
-        object.__setattr__(self, "_interp", _Pchip(t, np.column_stack([mu, sg])))
+
+    @cached_property
+    def _interp(self):
+        return _table([self])
 
     def distribution_at(self, t):
         t, lo, hi = float(t), self.t_read[0], self.t_read[-1]
         if not lo <= t <= hi:
             raise DomainError(f"t_read {t!r} outside the characterized grid [{lo!r}, {hi!r}]")
-        mu, sigma = self._interp(t)
-        return DeltaVDistribution(mu_delta=mu, sigma_delta=sigma)
+        (dist,) = _distributions(self._interp([t]))
+        return dist
 
     def ber_at(self, t, offset):
         """BER at read time t, or an array of BERs at each time of a sequence."""
@@ -451,88 +487,140 @@ def invert_for_constraint(dist, target_pf, offset=None):
 
     Write distributions invert in closed form. Access inversion requires the
     characterization table plus an offset distribution and solves the BER
-    curve by bracketed root finding on the characterized grid.
+    curve by bracketed root finding on the characterized grid. `dist` is one
+    distribution (float out) or a list or tuple of one kind (array out),
+    inverted together; each result has the bits of its own inversion.
     """
     if not 0.0 < target_pf < 1.0:
         raise DomainError(f"target_pf must be in (0, 1), got {target_pf}")
-    if isinstance(dist, WriteTimeDistribution):
-        root = dist.mu_w + dist.sigma_w * ndtri(1.0 - target_pf)
-        if root < 0.0:
-            ceiling = float(ndtr(dist.mu_w / dist.sigma_w))
-            raise DomainError(
-                f"target_pf {target_pf} exceeds the single-branch ceiling {ceiling!r}"
-            )
-        return dist.t0 * math.exp(root**2)
-    if isinstance(dist, AccessCharacterization):
+    single = not isinstance(dist, (list, tuple))
+    dists = [dist] if single else list(dist)
+    if all(isinstance(d, WriteTimeDistribution) for d in dists):
+        roots = _invert_write(dists, target_pf)
+    elif all(isinstance(d, AccessCharacterization) for d in dists):
         if offset is None:
             raise DomainError("access inversion requires an offset distribution")
-        lo, hi = dist.t_read[0], dist.t_read[-1]
-        pf_lo, pf_hi = dist.ber_at((lo, hi), offset).tolist()
-        # BER falls as the read window grows
-        if not (min(pf_lo, pf_hi) <= target_pf <= max(pf_lo, pf_hi)):
+        if len({len(d.t_read) for d in dists}) > 1:  # one table per grid size
+            roots = np.array([invert_for_constraint(d, target_pf, offset) for d in dists])
+        else:
+            roots = _invert_access(dists, target_pf, offset)
+    else:
+        kind = next(d for d in dists if not isinstance(d, (WriteTimeDistribution,
+                                                              AccessCharacterization)))
+        raise DomainError(f"cannot invert a {type(kind).__name__}")
+    return float(roots[0]) if single else roots
+
+
+def _invert_write(dists, target_pf):
+    # 1 - target_pf rounds to 1 below about 1.1e-16, where ndtri is inf
+    if 1.0 - target_pf == 1.0:
+        raise DomainError(f"target_pf {target_pf} is below the resolution of the write "
+                          "inversion: 1 - target_pf rounds to 1")
+    mu = np.array([d.mu_w for d in dists])
+    sigma = np.array([d.sigma_w for d in dists])
+    root = mu + sigma * ndtri(1.0 - target_pf)
+    negative = np.flatnonzero(root < 0.0)
+    if negative.size:
+        d = dists[negative[0]]
+        ceiling = float(ndtr(d.mu_w / d.sigma_w))
+        raise DomainError(
+            f"target_pf {target_pf} exceeds the single-branch ceiling {ceiling!r}"
+        )
+    try:  # per-distribution scalars: math.exp keeps libm's bits
+        return np.array([d.t0 * math.exp(r**2) for d, r in zip(dists, root)])
+    except OverflowError:
+        raise DomainError(f"the write time at target_pf {target_pf} overflows") from None
+
+
+def _invert_access(chars, target_pf, offset):
+    size = max(1, _BER_TERMS // (_BER_PANELS * (16 + 32)))  # nodes of the two BER rules
+    if len(chars) > size:  # bounds the memory of the BER calls
+        return np.concatenate([_invert_access(chars[s:s + size], target_pf, offset)
+                               for s in range(0, len(chars), size)])
+    table = _table(chars)
+    lo, hi = table.x[:, 0], table.x[:, -1]
+    lanes = np.arange(len(chars))
+
+    def ber(t, rows):
+        return access_fail_prob_ber(_distributions(table(t, rows)), offset)
+
+    pf_lo, pf_hi = np.split(ber(np.concatenate([lo, hi]), np.concatenate([lanes, lanes])), 2)
+    # BER falls as the read window grows
+    for a, b in zip(pf_lo.tolist(), pf_hi.tolist()):
+        if not (min(a, b) <= target_pf <= max(a, b)):
             raise DomainError(
                 f"target_pf {target_pf} outside the achievable range "
-                f"[{min(pf_lo, pf_hi):.6e}, {max(pf_lo, pf_hi):.6e}] of the grid"
+                f"[{min(a, b):.6e}, {max(a, b):.6e}] of the grid"
             )
-        if lo == hi:
-            return lo
-        # xtol scales with the grid: read times span fs to ns across cells
-        return _brentq(lambda t: dist.ber_at(t, offset) - target_pf, lo, hi,
-                       xtol=1e-12 * lo, rtol=1e-12)
-    raise DomainError(f"cannot invert a {type(dist).__name__}")
+    if table.x.shape[-1] == 1:
+        return lo
+    # xtol scales with the grid: read times span fs to ns across cells
+    return _brentq(lambda t, rows: ber(t, rows) - target_pf, lo, hi,
+                   pf_lo - target_pf, pf_hi - target_pf, xtol=1e-12 * lo, rtol=1e-12)
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of f on the bracket [xa, xb] by Brent's method.
+def _brentq(f, xa, xb, fa, fb, xtol, rtol):
+    """Roots of f on the brackets [xa, xb] (arrays, one lane each) by Brent's
+    method, all lanes in lockstep.
 
-    A line-for-line port of scipy's brentq.c: the same steps, tolerances and
-    calls give the same root bits, without importing scipy.optimize (and its
-    start-up cost) on every command that inverts a BER curve.
+    A port of scipy's brentq.c: every lane takes the steps, tolerances and
+    float operations scipy takes on its own bracket, so it gives the same
+    root bits, without importing scipy.optimize (and its start-up cost) on
+    every command that inverts a BER curve. fa and fb are f at xa and xb;
+    f(x, lanes) returns f at x for the lanes still iterating (an index
+    array), so a converged lane drops out of the next call.
     """
-    def signbit(v):
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise DomainError(f"no sign change of the root function on [{xa!r}, {xb!r}]")
+    xa, xb, fa, fb = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
+    xtol = np.broadcast_to(xtol, xa.shape)
+    root = np.where(fa == 0.0, xa, xb)
+    live = (fa != 0.0) & (fb != 0.0)
+    unbracketed = np.flatnonzero(live & (np.signbit(fa) == np.signbit(fb)))
+    if unbracketed.size:
+        i = unbracketed[0]
+        raise DomainError(f"no sign change of the root function on "
+                          f"[{xa[i].item()!r}, {xb[i].item()!r}]")
+    lanes = np.flatnonzero(live)
+    xpre, xcur, fpre, fcur, tol = xa[lanes], xb[lanes], fa[lanes], fb[lanes], xtol[lanes]
+    xblk = fblk = spre = scur = np.zeros(lanes.size)
     for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        step = xcur - xpre
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (tol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[lanes[done]] = xcur[done]
+            keep = ~done
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, tol, delta, sbis = (
+                v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                  tol, delta, sbis))
+            if lanes.size == 0:
+                return root
+        # both trial steps for every lane; the one a lane does not take may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+            dblk = (fblk - fcur) / (xblk - xcur)
+            inverse = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, inverse)
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))  # good short step
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, lanes)
+    if lanes.size == 0:
+        return root
+    i = lanes[0]
     raise DomainError(f"root finding did not converge in {_BRENT_MAX_ITER} iterations "
-                      f"on [{xa!r}, {xb!r}]")
+                      f"on [{xa[i].item()!r}, {xb[i].item()!r}]")
 
 
 def auto_read_grid(cell, offset, points=12):
@@ -541,21 +629,24 @@ def auto_read_grid(cell, offset, points=12):
     Endpoints are the exact inverse of the nominal closed-form discharge
     (read_time_closed) at offset quantiles mu + z*sigma: the low end sits
     where the BER is still large (around 1e-2) and the high end beyond the
-    4-sigma target, so constraint inversion stays inside the grid.
+    4-sigma target, so constraint inversion stays inside the grid. A
+    sequence of cells gets one grid per row; the first cell without one raises.
     """
     if points < 2:
         raise DomainError("grid needs at least 2 points")
     dv_lo = offset.mu_vos + _GRID_Z_LO * offset.sigma_vos
     dv_hi = offset.mu_vos + _GRID_Z_HI * offset.sigma_vos
-    if not 0.0 < dv_lo < dv_hi < cell.vdd:
-        raise DomainError(
-            f"offset quantile window [{dv_lo!r}, {dv_hi!r}] V does not fit below vdd"
-        )
-    ends = read_time_closed(cell, cell.nmos.vth_nominal, np.array([dv_lo, dv_hi]))
-    for dv, t in zip((dv_lo, dv_hi), ends):
-        if not 0.0 < t <= 1.0:  # also rejects NaN, inf and underflow to 0
-            raise DomainError(f"cannot reach delta_v {dv!r} V on this cell")
-    return np.geomspace(*ends, points)
+    ends = read_time_closed(cell, None, np.array([dv_lo, dv_hi]))
+    cells = [cell] if isinstance(cell, CellConfig) else cell
+    for c, row in zip(cells, ends.reshape(-1, 2).tolist()):
+        if not 0.0 < dv_lo < dv_hi < c.vdd:
+            raise DomainError(
+                f"offset quantile window [{dv_lo!r}, {dv_hi!r}] V does not fit below vdd"
+            )
+        for dv, t in zip((dv_lo, dv_hi), row):
+            if not 0.0 < t <= 1.0:  # also rejects NaN, inf and underflow to 0
+                raise DomainError(f"cannot reach delta_v {dv!r} V on this cell")
+    return np.geomspace(ends[..., 0], ends[..., 1], points, axis=-1)
 
 
 # -- Q-Q diagnostics --------------------------------------------------------------
@@ -601,8 +692,9 @@ def qq_points(samples, dist, tail=None, tail_fraction=0.01):
 
 
 def write_qq_csv(points, corr, path):
+    points = np.asarray(points, dtype=float)
     write_csv(path, f"# pearson_r: {corr!r}\ntheoretical,empirical",
-              (f"{float(theo)!r},{float(emp)!r}\n" for theo, emp in points))
+              csv_text(len(points), lambda part: [points[part, 0], points[part, 1]]))
 
 
 # -- JSON round trip ---------------------------------------------------------------

@@ -429,6 +429,39 @@ class TestCharacterize:
         assert read_manifest(tmp_path)["seed"] == 7
 
 
+class TestFloatWriters:
+    """The Q-Q and fitted-curve CSVs keep the bytes of the per-row repr writers."""
+
+    def test_qq_csv_matches_repr_rows(self, tmp_path, monkeypatch):
+        from sramyield import artifacts
+        from sramyield.yieldmodel import write_qq_csv
+
+        monkeypatch.setattr(artifacts, "_EXPORT_ROWS", 64)  # several chunks
+        rng = np.random.default_rng(3)
+        points = np.column_stack([rng.normal(0.0, 1.0, 1000),
+                                  rng.lognormal(np.log(1e-11), 3.0, 1000)])
+        points[:5, 0] = [0.0, -0.0, 1e-300, -2.5e17, 5e-324]
+        path = tmp_path / "qq.csv"
+        write_qq_csv(points, 0.987654321, path)
+        want = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in points)
+        head = "# manifest: manifest.json\n# pearson_r: 0.987654321\ntheoretical,empirical\n"
+        assert path.read_text() == head + want
+
+    def test_emit_iv_matches_repr_rows(self, tmp_path):
+        from sramyield.devices import DeviceParams
+        from sramyield.fitting import model_currents, read_iv_csv
+
+        rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--emit-iv", "curves.csv")
+        assert rc == 0
+        data = read_iv_csv(BUNDLED_IV)
+        params = DeviceParams.from_dict(json.loads((tmp_path / "fit.json").read_text())["params"])
+        fitted = model_currents(params, data)
+        want = "".join(f"{float(a)!r},{float(b)!r},{float(c)!r},{float(m)!r}\n"
+                       for a, b, c, m in zip(data.vgs, data.vds, data.ids, fitted))
+        head = "# manifest: manifest.json\nvgs,vds,ids_data,ids_model\n"
+        assert (tmp_path / "curves.csv").read_text() == head + want
+
+
 class TestYield:
     def test_write_target_median(self, tmp_path, write_char):
         rc = run_cli(tmp_path, "yield", "--characterization", str(write_char),
@@ -469,6 +502,13 @@ class TestYield:
         pfs = [float(r[1]) for r in rows]
         # wider read windows discharge further: failure probability falls
         assert pfs == sorted(pfs, reverse=True)
+
+    def test_write_target_below_resolution(self, tmp_path, write_char, capsys):
+        # 1 - 1e-17 rounds to 1: this used to print "constraint inf s" with exit 0
+        rc = run_cli(tmp_path, "yield", "--characterization", str(write_char),
+                     "--target", "1e-17")
+        assert rc == EXIT_DOMAIN
+        assert "below the resolution" in capsys.readouterr().err
 
     def test_out_of_grid_exit(self, tmp_path):
         char_dir = tmp_path / "char"
@@ -559,6 +599,57 @@ class TestSweep:
                      "--mode", "write", "--char-n", "128")
         assert rc == EXIT_DOMAIN
         assert "vwl=0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, target, message", [
+        ("access", "1e-9", "outside the achievable range"),
+        ("write", "1e-17", "below the resolution")])
+    def test_first_failing_point_is_named(self, tmp_path, capsys, mode, target, message):
+        # vwl=0.5 fails late (at its inversion), vwl=0.9 early (building its cell)
+        rc = run_cli(tmp_path, "sweep", "--axis", "vwl", "--values", "0.55,0.5,0.9",
+                     "--mode", mode, "--target", target, "--char-n", "128")
+        assert rc == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "sweep point vwl=0.55 failed" in err and message in err
+
+    # the two sweeps of the design benchmark at --seed 160: sha256 of sweep.csv
+    # and the manifest digest, as the per-point loop wrote them
+    DESIGN = {
+        "vwl": ("access", np.linspace(0.65, 0.45, 81),
+                "63c68dadbc554faceb81f4c5635add0fd42ed51008933888754fa4e2d54c80d0",
+                "27f07c4974ed42858705d0aa69ddf98beec8827961dbc08bfdbe9c6456ccf6e4"),
+        "vdd": ("write", np.linspace(0.7, 0.35, 351),
+                "83c4ccd557893f8f0d39b464ef2cf37a9452f5410b5a25ae5244b40d831cd138",
+                "29be218b7a2e60eb9528fd5d1ecaac74e8d4963a010ec850d4bf792b66d0fcc3"),
+    }
+
+    @pytest.mark.parametrize("axis", sorted(DESIGN))
+    def test_design_sweep_bytes_are_pinned(self, tmp_path, axis):
+        import hashlib
+
+        mode, values, csv_sha, digest = self.DESIGN[axis]
+        rc = main(["--out-dir", str(tmp_path), "--seed", "160", "sweep", "--axis", axis,
+                   "--mode", mode, "--values", ",".join(f"{v:.4f}" for v in values),
+                   "--target", "3.17e-05"])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == csv_sha
+        assert read_manifest(tmp_path)["digest"] == digest
+
+    @pytest.mark.parametrize("chunk_lanes", [None, 1])
+    @pytest.mark.parametrize("axis, mode, values", [
+        ("vwl", "access", "0.65,0.6,0.55,0.5,0.45"),
+        ("vdd", "write", "0.7,0.6,0.5,0.4"),
+        ("temperature", "write", "5,25,85")])
+    def test_rows_match_points_swept_alone(self, tmp_path, monkeypatch, chunk_lanes, axis,
+                                           mode, values):
+        if chunk_lanes is not None:  # one cell per chunk
+            monkeypatch.setattr(mc, "_CHUNK_LANES", chunk_lanes)
+        flags = ["--axis", axis, "--mode", mode, "--char-n", "100"]
+        assert run_cli(tmp_path / "all", "sweep", *flags, "--values", values) == 0
+        _, rows = csv_rows(tmp_path / "all" / "sweep.csv")
+        for i, v in enumerate(values.split(",")):
+            assert run_cli(tmp_path / v, "sweep", *flags, "--values", v) == 0
+            _, (alone,) = csv_rows(tmp_path / v / "sweep.csv")
+            assert rows[i][:3] == alone[:3]
 
     @pytest.mark.parametrize("mode, per_cell", [("access", 4 * 50), ("write", 50)])
     def test_characterization_drawn_once_per_command(self, tmp_path, monkeypatch, mode,

@@ -84,6 +84,7 @@ for argv in (
     ["characterize", "--mode", "access", "--n", "100"],
     ["yield", "--characterization", out + "/characterization.json", "--target", "1e-3"],
     ["sweep", "--axis", "vwl", "--mode", "access", "--values", "0.6,0.55", "--char-n", "100"],
+    ["sweep", "--axis", "vdd", "--mode", "write", "--values", "0.7,0.6", "--char-n", "200"],
     ["compare", "--mode", "write", "--constraints", "2e-11", "--n", "2000", "--char-n", "200"],
 ):
     assert main(["--out-dir", out, *argv]) == 0, argv

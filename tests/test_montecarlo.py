@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramyield import mc
+from sramyield import artifacts, mc
 from sramyield.errors import (
     DegenerateStatisticsError,
     DomainError,
@@ -37,7 +37,8 @@ from sramyield.mc import (
     write_samples,
 )
 from sramyield.transients import default_write_t_max, delta_v_closed, write_time_closed
-from sramyield.yieldmodel import OffsetVoltageDist, estimate_delta_params, estimate_write_params
+from sramyield.yieldmodel import (OffsetVoltageDist, auto_read_grid, estimate_delta_params,
+                                  estimate_write_params)
 
 WILSON_0_OF_100_HI = 0.03699349820698568  # z^2/(n+z^2) evaluated independently
 
@@ -389,8 +390,8 @@ class TestExport:
                 vth_n=np.array([0.38]), metric=np.array([0.1]), fail=np.array([False]),
             )
 
-    @pytest.mark.parametrize("n", [mc._EXPORT_ROWS - 1, mc._EXPORT_ROWS, mc._EXPORT_ROWS + 1,
-                                   2 * mc._EXPORT_ROWS + 3])
+    @pytest.mark.parametrize("n", [artifacts._EXPORT_ROWS - 1, artifacts._EXPORT_ROWS, artifacts._EXPORT_ROWS + 1,
+                                   2 * artifacts._EXPORT_ROWS + 3])
     @pytest.mark.parametrize("other", ["vth_p", "v_os"])
     def test_export_across_chunk_edges(self, tmp_path, n, other):
         rng = np.random.default_rng(n)
@@ -422,6 +423,35 @@ class TestExport:
             dv.append(float(line.split(",")[4]))
         dist = estimate_delta_params(dv)
         assert dist.mu_delta > 0.0 and dist.sigma_delta > 0.0
+
+
+class TestCellSequences:
+    """characterize_* over a sequence of cells equals one call per cell."""
+
+    CELLS = [0.65, 0.55, 0.5]
+
+    def test_access(self, default_cell):
+        cells = [dataclasses.replace(default_cell, vwl=v) for v in self.CELLS]
+        grids = auto_read_grid(cells, VAR.offset, 5)[:, ::-1]  # each row sorted first
+        tables = characterize_access(cells, VAR, grids, n=40)
+        assert tables == [characterize_access(c, VAR, g, n=40) for c, g in zip(cells, grids)]
+
+    def test_write(self, default_cell):
+        cells = [dataclasses.replace(default_cell, vwl=v) for v in self.CELLS]
+        lanes = mc.characterization_lanes("write", VAR, 64)
+        dists = characterize_write(cells, VAR, n=64, lanes=lanes)
+        assert dists == [characterize_write(c, VAR, n=64) for c in cells]
+        assert characterize_write(cells, VAR, n=64) == dists
+
+    def test_ode_takes_one_cell(self, default_cell):
+        with pytest.raises(DomainError, match="one cell at a time"):
+            characterize_write([default_cell], VAR, n=64, mode="ode")
+
+    def test_chunks_hold_at_most_the_lane_budget(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_LANES", 100)
+        items = list(range(10))
+        assert mc.cell_chunks(items, 30) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert mc.cell_chunks(items, 500) == [[i] for i in items]
 
 
 class TestCharacterizeAccess:
@@ -513,7 +543,7 @@ def test_drawn_values_are_pinned(case, default_cell, tmp_path, monkeypatch):
         monkeypatch.setattr(mc, "estimate_delta_params",
                             lambda dv: seen.append(dv) or estimate(dv))
         table = characterize_access(default_cell, VAR, [8e-11, 1.2e-10], n=30)
-        dv = seen[1]
+        dv = np.vstack(seen)[1]  # the estimator takes the grid's rows in one call
         assert len(dv) == 30
         got = [repr(float(x)) for x in
                (dv[0], dv[1], dv[-1], table.mu_delta[1], table.sigma_delta[1])]

@@ -459,6 +459,64 @@ class TestWriteTimeClosed:
             assert vec[i] == write_time_closed(default_cell, float(vth))
 
 
+class TestCellBatches:
+    """The closed forms over a sequence of cells: every lane has the bits it
+    gets in a call for its cell alone."""
+
+    @staticmethod
+    def cells(base, quiet_nmos):
+        return [
+            base,
+            dataclasses.replace(base, vwl=0.45),
+            dataclasses.replace(base, vddc=0.45),  # the pull-up kink on the write path
+            dataclasses.replace(base, vdd=0.6, vwl=0.6, vddc=0.6, v_trip=0.3),
+            dataclasses.replace(base, temperature_c=85.0),
+            make_cell(quiet_nmos, vddc=0.82, v_trip=0.35),  # kink beyond vdd
+            dataclasses.replace(base, nmos=dataclasses.replace(base.nmos, dibl=0.0)),
+        ]
+
+    def test_delta_v_and_read_time(self, default_cell, quiet_nmos):
+        cells = self.cells(default_cell, quiet_nmos)
+        vth = np.linspace(0.3, 0.46, 9)
+        t = np.geomspace(2e-11, 4e-10, 9)
+        per_cell_t = np.outer(np.linspace(0.5, 2.0, len(cells)), t)
+        batch, shared = delta_v_closed(cells, vth, per_cell_t), delta_v_closed(cells, vth, t)
+        dv = np.array([0.02, 0.1, 0.3])
+        ends = read_time_closed(cells, None, dv)
+        assert batch.shape == shared.shape == (len(cells), 9) and ends.shape == (len(cells), 3)
+        for i, cell in enumerate(cells):
+            assert batch[i].tolist() == delta_v_closed(cell, vth, per_cell_t[i]).tolist()
+            assert shared[i].tolist() == delta_v_closed(cell, vth, t).tolist()
+            assert ends[i].tolist() == read_time_closed(cell, None, dv).tolist()
+
+    def test_write_time_and_trip_integral(self, default_cell, quiet_nmos):
+        cells = self.cells(default_cell, quiet_nmos)
+        vth = np.linspace(0.3, 0.46, 9)
+        batch = write_time_closed(cells, vth)
+        w = transients._trip_integrals(cells)
+        for i, cell in enumerate(cells):
+            fresh = dataclasses.replace(cell)  # w_trip not yet computed
+            assert batch[i].tolist() == write_time_closed(fresh, vth).tolist()
+            assert w[i] == fresh.w_trip
+
+    def test_first_failing_cell_raises(self, default_cell, quiet_nmos):
+        overpowered = make_cell(quiet_nmos, pmos=weak_pmos(i0=1e-4))
+        with pytest.raises(ModelInapplicableError, match="pull-up overpowers"):
+            write_time_closed([default_cell, overpowered, default_cell], 0.38)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-10.0, 10.0),
+           span=st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 5e-324, 1e-310])),
+           num=st.integers(2, 1100))
+    def test_linspace_is_numpys(self, start, span, num):
+        ref = np.linspace(start, start + span, num)
+        assert transients._linspace(start, start + span, num).tolist() == ref.tolist()
+        column = np.array([[start], [start + 1.0]])
+        rows = transients._linspace(column, column + span, num)
+        assert rows[0].tolist() == ref.tolist()
+        assert rows[1].tolist() == np.linspace(start + 1.0, start + 1.0 + span, num).tolist()
+
+
 class TestWriteTimeOde:
     def test_golden_default_cell(self, default_cell):
         t_max = default_write_t_max(default_cell)

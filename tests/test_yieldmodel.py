@@ -121,6 +121,30 @@ class TestEstimators:
         with pytest.raises(DomainError, match="t0"):
             estimate_write_params([5e-12] * 40, t0=0.0)
 
+    @pytest.mark.parametrize("estimate, scale", [(estimate_delta_params, 0.04),
+                                                 (estimate_write_params, 5e-12)])
+    def test_rows_match_rows_alone(self, estimate, scale):
+        rng = np.random.default_rng(5)
+        rows = scale * (1.0 + 0.05 * rng.random((7, 45)))
+        assert estimate(rows) == [estimate(row) for row in rows]
+
+    def test_first_failing_row_raises(self, recwarn):
+        rows = 0.04 * (1.0 + 0.05 * np.random.default_rng(6).random((4, 40)))
+        rows[2, 5] = math.inf  # censored
+        rows[3, 7] = 0.0  # not above zero
+        rows[1] = 0.04  # zero variance: the first failing row
+        with pytest.raises(DegenerateStatisticsError, match="zero variance"):
+            estimate_delta_params(rows)
+        rows[1] = rows[0]
+        with pytest.raises(DegenerateStatisticsError, match="sample 5 is inf"):
+            estimate_delta_params(rows)
+        # the rows before the failing one are built, warning as they would alone
+        rows[0] = (0.2 + 0.08 * np.random.default_rng(7).standard_normal(40)) ** 2
+        with pytest.raises(DegenerateStatisticsError, match="sample 5 is inf"):
+            estimate_delta_params(rows)
+        assert [str(w.message).split(" mu/sigma")[0] for w in recwarn.list] == [
+            "DeltaVDistribution"]
+
     def test_write_synthetic_round_trip(self):
         rng = np.random.default_rng(20240102)
         samples = DEFAULT_T0 * np.exp(rng.normal(1.5, 0.05, 1_000_000) ** 2)
@@ -489,7 +513,22 @@ class TestPchipPort:
         ref = PchipInterpolator(x, y, extrapolate=False)
         for t in ts:  # every node, both grid ends included
             if x[0] <= t <= x[-1]:
-                assert port(t) == ref(t).tolist()
+                assert port(t).tolist() == ref(t).tolist()
+        # a batch of tables: each row has the bits of its table alone
+        flipped = y[:, ::-1] * 2.0
+        batch = yieldmodel._Pchip(np.stack([x, x]), np.stack([y, flipped]))
+        alone = yieldmodel._Pchip(x, flipped)
+        for t in ts:
+            if x[0] <= t <= x[-1]:
+                assert batch([t, t]).tolist() == [port(t).tolist(), alone(t).tolist()]
+
+
+def port_brentq(f, xa, xb, xtol, rtol):
+    """The lockstep Brent port on one lane, for f of one float."""
+    def lane(x, lanes):
+        return np.array([f(v) for v in x.tolist()])
+
+    return yieldmodel._brentq(lane, [xa], [xb], [f(xa)], [f(xb)], xtol=xtol, rtol=rtol).item()
 
 
 class TestBrentPort:
@@ -514,12 +553,16 @@ class TestBrentPort:
             return table.ber_at(t, offset) - target
 
         port_calls, ref_calls = [], []
-        port = yieldmodel._brentq(self.counted(f, port_calls), lo, hi,
-                                  xtol=1e-12 * lo, rtol=1e-12)
+        port = port_brentq(self.counted(f, port_calls), lo, hi, xtol=1e-12 * lo, rtol=1e-12)
         ref = brentq(self.counted(f, ref_calls), lo, hi, xtol=1e-12 * lo, rtol=1e-12)
         assert port == ref
         assert port_calls == ref_calls
         assert invert_for_constraint(table, target, offset=offset) == ref
+
+    @staticmethod
+    def synthetic(x, root, cubic, damp):
+        u = x - root
+        return u * (1.0 + cubic * u * u) * np.exp(-damp * np.abs(u))
 
     @settings(max_examples=300, deadline=None)
     @given(root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0),
@@ -531,23 +574,51 @@ class TestBrentPort:
             return u * (1.0 + cubic * u * u) * math.exp(-damp * abs(u))
 
         port_calls, ref_calls = [], []
-        port = yieldmodel._brentq(self.counted(f, port_calls), root - left, root + right,
-                                  xtol=1e-12, rtol=1e-12)
+        port = port_brentq(self.counted(f, port_calls), root - left, root + right,
+                           xtol=1e-12, rtol=1e-12)
         ref = brentq(self.counted(f, ref_calls), root - left, root + right,
                      xtol=1e-12, rtol=1e-12)
         assert port == ref
         assert port_calls == ref_calls
+
+    def test_lockstep_lanes_match_lanes_alone(self):
+        # every lane takes its own steps and drops out of f once converged
+        rng = np.random.default_rng(7)
+        m = 40
+        root, cubic, damp = rng.uniform(-5, 5, m), rng.uniform(0, 10, m), rng.uniform(0, 5, m)
+        xa, xb = root - rng.uniform(1e-6, 10, m), root + rng.uniform(1e-6, 10, m)
+        xtol = rng.uniform(1e-14, 1e-10, m)
+        calls = []
+
+        def f(x, lanes):
+            calls.append(lanes)
+            return self.synthetic(x, root[lanes], cubic[lanes], damp[lanes])
+
+        lanes = np.arange(m)
+        got = yieldmodel._brentq(f, xa, xb, f(xa, lanes), f(xb, lanes), xtol=xtol, rtol=1e-12)
+        counts = np.bincount(np.concatenate(calls), minlength=m)
+        for i in range(m):
+            alone = []
+
+            def one(x, _, i=i):
+                alone.append(x)
+                return self.synthetic(x, root[i], cubic[i], damp[i])
+
+            ends = one(xa[i:i + 1], None), one(xb[i:i + 1], None)
+            assert yieldmodel._brentq(one, xa[i:i + 1], xb[i:i + 1], *ends,
+                                      xtol=xtol[i], rtol=1e-12)[0] == got[i]
+            assert counts[i] == len(alone)
 
     def test_no_convergence_is_a_domain_error(self, monkeypatch):
         monkeypatch.setattr(yieldmodel, "_BRENT_MAX_ITER", 3)
         with pytest.raises(RuntimeError):
             brentq(math.atan, -1.0, 2.0, xtol=1e-12, rtol=1e-12, maxiter=3)
         with pytest.raises(DomainError, match="did not converge in 3 iterations"):
-            yieldmodel._brentq(math.atan, -1.0, 2.0, xtol=1e-12, rtol=1e-12)
+            port_brentq(math.atan, -1.0, 2.0, xtol=1e-12, rtol=1e-12)
 
     def test_unbracketed_root_is_a_domain_error(self):
         with pytest.raises(DomainError, match="no sign change"):
-            yieldmodel._brentq(math.atan, 1.0, 2.0, xtol=1e-12, rtol=1e-12)
+            port_brentq(math.atan, 1.0, 2.0, xtol=1e-12, rtol=1e-12)
 
 
 class TestInversion:
@@ -614,6 +685,35 @@ class TestInversion:
     def test_unsupported_type(self):
         with pytest.raises(DomainError, match="cannot invert"):
             invert_for_constraint(OFFSET, 0.5)
+        with pytest.raises(DomainError, match="cannot invert a OffsetVoltageDist"):
+            invert_for_constraint([WRITE, OFFSET], 0.5)
+
+    @pytest.mark.parametrize("target", [1e-17, 2.0**-54])
+    def test_write_target_below_resolution(self, target):
+        # 1 - target rounds to 1: the inversion used to return inf
+        with pytest.raises(DomainError, match="below the resolution"):
+            invert_for_constraint(WRITE, target)
+        assert math.isfinite(invert_for_constraint(WRITE, 2.0**-53))
+
+    def test_write_time_overflow(self):
+        huge = WriteTimeDistribution(mu_w=30.0, sigma_w=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            invert_for_constraint(huge, 0.5)
+
+    def test_sequence_matches_items_alone(self, default_cell, default_variation):
+        offset = default_variation.offset
+        cells = [dataclasses.replace(default_cell, vwl=v) for v in (0.6, 0.55, 0.5, 0.45)]
+        tables = characterize_access(cells, default_variation,
+                                     auto_read_grid(cells, offset, 12), n=200)
+        tables.append(characterize_access(cells[0], default_variation,
+                                          auto_read_grid(cells[0], offset, 7), n=200))
+        for target in (FOUR_SIGMA_PF, 1e-3):
+            batch = invert_for_constraint(tables, target, offset=offset)
+            assert batch.tolist() == [invert_for_constraint(t, target, offset=offset)
+                                      for t in tables]
+        writes = [WRITE, dataclasses.replace(WRITE, mu_w=1.7), dataclasses.replace(WRITE, t0=1e-13)]
+        batch = invert_for_constraint(tuple(writes), 1e-4)
+        assert batch.tolist() == [invert_for_constraint(w, 1e-4) for w in writes]
 
 
 def brentq_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
@@ -632,6 +732,14 @@ def brentq_read_grid(cell, offset, points=12, z_lo=1.6, z_hi=5.2):
 
 
 class TestAutoReadGrid:
+    def test_rows_match_cells_alone(self, default_cell):
+        cells = [dataclasses.replace(default_cell, vwl=v) for v in (0.65, 0.5, 0.45)]
+        cells.append(dataclasses.replace(default_cell, temperature_c=85.0))
+        grids = auto_read_grid(cells, OFFSET, points=12)
+        assert grids.shape == (4, 12)
+        for grid, cell in zip(grids, cells):
+            assert grid.tolist() == auto_read_grid(cell, OFFSET, points=12).tolist()
+
     def test_endpoints_hit_offset_quantiles(self, default_cell):
         grid = auto_read_grid(default_cell, OFFSET, points=12)
         assert grid.shape == (12,)
