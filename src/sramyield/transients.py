@@ -46,6 +46,7 @@ _NEWTON_STEPS = 3
 _WRITE_PANELS = 8  # per segment of the write path
 _WRITE_GRADING = 10  # panels halving towards v*, per side
 _WRITE_REL_TOL = 1e-12
+_FMINBOUND_MAX_EVALS = 500  # scipy's maxiter default for method="bounded"
 
 
 def _gauss_legendre(order):
@@ -185,6 +186,22 @@ class CellConfig:
         """W(beta0), the write integral of dv / (h_n - beta0*h_p) over
         [v_trip, vdd] (V/A), computed once: _trip_integrals of this cell alone."""
         return float(_trip_integrals([self])[0])
+
+    @cached_property
+    def write_path(self):
+        """What every write_time_ode call on this cell shares, computed once:
+        r_crit and v* (_critical_ratio), the cuts of the path, its panel edges,
+        and per rule order (8, 16) the nodes, weights, h_n and h_p."""
+        r_crit, v_star = _critical_ratio(self)
+        cuts = [v for v in (self.vddc, v_star) if self.v_trip < v < self.vdd]
+        edges = _write_edges(self, cuts, v_star)
+        c = _columns(self)
+        rules = []
+        for order in (8, 16):
+            nodes, w = _composite_rule(edges, order)
+            rules.append((nodes, w, *_drives(c, nodes)))
+        return SimpleNamespace(r_crit=r_crit, v_star=v_star, cuts=cuts, edges=edges,
+                               rules=rules)
 
     # -- serialization --------------------------------------------------------
     def to_dict(self):
@@ -532,23 +549,18 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     p_p = np.clip(gate_polynomial(pm, cell.vddc, vt, p_b.ravel()), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
     r = np.exp(p_p - p_n)
 
-    r_crit, v_star = _critical_ratio(cell)
-    c = _columns(cell)
-    live = r < r_crit
+    path = cell.write_path
+    live = r < path.r_crit
     r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
-    cuts = [v for v in (cell.vddc, v_star) if cell.v_trip < v < cell.vdd]
-    edges = _write_edges(cell, cuts, v_star)
     sums = []
-    for order in (8, 16):
-        nodes, w = _composite_rule(edges, order)
-        h_n, h_p = _drives(c, nodes)
+    for _, w, h_n, h_p in path.rules:
         acc = np.zeros(r.shape)
         for wk, nk, pk in zip(w, h_n, h_p):
             acc += wk / (nk - r_live * pk)
         sums.append(acc)
     coarse, total = sums
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        total[i] = _trip_quad(c, r[i], cuts)
+        total[i] = _trip_quad(_columns(cell), r[i], path.cuts)
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t
@@ -560,19 +572,93 @@ def _critical_ratio(cell):
     A grid minimum only bounds r_crit from above, so the grid argmin is
     refined by a bounded scalar minimisation over its neighbouring cells.
     """
-    from scipy.optimize import minimize_scalar  # ODE write path only
-
     c = _columns(cell)
     grid = np.linspace(c.v_trip, min(c.vdd, c.vddc), 1025)
     with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
         ratio = np.divide(*_drives(c, grid))
     i = int(np.argmin(ratio))
-    best = minimize_scalar(lambda v: float(np.divide(*_drives(c, v))), method="bounded",
-                           bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-                           options={"xatol": 1e-15})
-    if best.fun < ratio[i]:
-        return best.fun, best.x
+    x, fun = _fminbound(lambda v: float(np.divide(*_drives(c, v))),
+                        grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], xatol=1e-15)
+    if fun < ratio[i]:
+        return fun, x
     return ratio[i], grid[i]
+
+
+def _sign(d):
+    """np.sign(d) + (d == 0) of a number: -1.0 below zero, else 1.0 (_fminbound
+    passes no nan: its steps stay finite between finite bounds)."""
+    return -1.0 if d < 0.0 else 1.0
+
+
+def _fminbound(func, x1, x2, xatol):
+    """(x, f(x)) at a minimum of func on [x1, x2] by Brent's bounded method.
+
+    A line-for-line port of scipy.optimize's _minimize_scalar_bounded, the
+    method="bounded" of minimize_scalar: the same golden-section and parabolic
+    steps, tolerances, evaluation order and 500-evaluation cap, so the same
+    bits, without importing scipy.optimize (and its start-up cost) on the ODE
+    write path. The bounds must be finite with x1 <= x2.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMINBOUND_MAX_EVALS:
+            break
+    return xf, fx
 
 
 def default_write_t_max(cell, factor=100.0):

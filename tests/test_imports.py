@@ -7,8 +7,9 @@ as a plain name (an attribute access `np.exp` counts as a use of `np`).
 
 Importing scipy.optimize, .integrate, .interpolate or .constants costs more
 than a closed-model command itself, so at import time the package may load
-only scipy.special; the adaptive fallbacks, the ODE write path and `fit`
-import the rest inside the function that needs it.
+only scipy.special; the adaptive fallbacks and `fit` import the rest inside
+the function that needs it. scipy.optimize is for `fit` alone: no other
+module imports it, at any level, and the ODE oracles run without it.
 """
 
 import ast
@@ -75,6 +76,31 @@ def test_module_level_scipy_is_special_only(path):
     assert heavy_scipy_imports(path.read_text()) == []
 
 
+def scipy_optimize_imports(source):
+    """Every import of scipy.optimize in the module, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return sorted({name for name in found
+                   if name == "scipy.optimize" or name.startswith("scipy.optimize.")})
+
+
+def test_checker_flags_scipy_optimize_at_any_level():
+    source = ("import scipy.special\nfrom scipy import integrate\n"
+              "def f():\n    import scipy.optimize._optimize\n"
+              "class C:\n    def g(self):\n        from scipy import optimize\n")
+    assert scipy_optimize_imports(source) == ["scipy.optimize", "scipy.optimize._optimize"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(Path(sramyield.__file__).parent.glob("*.py"))
+                                  if p.name != "fitting.py"], ids=lambda p: p.name)
+def test_only_fitting_imports_scipy_optimize(path):
+    assert scipy_optimize_imports(path.read_text()) == []
+
+
 CLOSED_COMMANDS = """
 import sys
 from sramyield.cli import main
@@ -96,6 +122,33 @@ print([name for name in heavy if name in sys.modules])
 def test_closed_model_commands_load_only_scipy_special(tmp_path):
     src = str(Path(sramyield.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", CLOSED_COMMANDS, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+ODE_COMMANDS = """
+import sys
+from sramyield.cli import main
+
+out = sys.argv[1]
+for argv in (
+    ["mc", "--oracle", "ode", "--mode", "write", "--n", "200", "--t-write", "2e-11"],
+    ["compare", "--oracle", "ode", "--mode", "write", "--constraints", "2e-11", "--n", "200",
+     "--char-n", "200"],
+    ["compare", "--oracle", "ode", "--mode", "access", "--constraints", "1.2e-10",
+     "--n", "200", "--char-n", "200"],
+):
+    assert main(["--out-dir", out, *argv]) == 0, argv
+heavy = ("scipy.optimize", "scipy.interpolate", "scipy.constants")
+print([name for name in heavy if name in sys.modules])
+"""
+
+
+def test_ode_commands_do_not_load_scipy_optimize(tmp_path):
+    src = str(Path(sramyield.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", ODE_COMMANDS, str(tmp_path)],
                           capture_output=True, text=True, timeout=300,
                           env={"PYTHONPATH": src, "PATH": ""})
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ suite existed; the implementation has to land on them, not the reverse.
 """
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -16,9 +17,10 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from sramyield import transients
+from sramyield.cli import _sweep_cell
 from sramyield.devices import (
     EXP_ARG_LIMIT,
     DeviceParams,
@@ -27,10 +29,12 @@ from sramyield.devices import (
     thermal_voltage,
 )
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
+from sramyield.mc import draw_write_samples
 from sramyield.transients import (
     AssistConfig,
     CellConfig,
     _critical_ratio,
+    _fminbound,
     apply_assist,
     default_write_t_max,
     delta_v_closed,
@@ -657,6 +661,138 @@ class TestWriteTimeOde:
         assert vec.shape == (3,)
         for i, vth in enumerate(grid):
             assert vec[i] == write_time_ode(default_cell, float(vth), 0.38, t_max)
+
+
+class TestWritePath:
+    """CellConfig.write_path: what every write_time_ode call on a cell shares."""
+
+    # sha256 of write_time_ode's float64 bytes on write lanes [0, 2e5) of the
+    # bundled cell and variation, from the oracle before the per-cell cache
+    # and the bounded-Brent port; None is the default horizon.
+    PINNED = {
+        1e-11: "f307465bf9d3a7d8b34b57c2dfc1717829eae201755ba4033c8a5900696d52a4",
+        2.2e-11: "81693234b87229a9ac059636ffd3c3ff749f53f36ec11eeafeffa3561b4264ce",
+        None: "45d2cb457ab94304d2c953e3ead5352f138d03d15a6ccdfb8b0a120f9cb6b338",
+    }
+
+    @pytest.mark.parametrize("t_max", list(PINNED), ids=str)
+    def test_bundled_lanes_are_pinned(self, default_cell, default_variation, t_max):
+        vth_n, vth_p = draw_write_samples(default_variation, 0, 200_000)
+        horizon = default_write_t_max(default_cell) if t_max is None else t_max
+        t = write_time_ode(default_cell, vth_n, vth_p, horizon)
+        assert hashlib.sha256(t.tobytes()).hexdigest() == self.PINNED[t_max]
+
+    def test_computed_once_per_cell(self, default_cell, monkeypatch):
+        calls = []
+        critical = transients._critical_ratio
+        monkeypatch.setattr(transients, "_critical_ratio",
+                            lambda cell: calls.append(cell) or critical(cell))
+        cell = dataclasses.replace(default_cell)  # nothing cached yet
+        t_max = default_write_t_max(cell)
+        first = write_time_ode(cell, [0.36, 0.38], 0.38, t_max)
+        assert len(calls) == 1
+        again = write_time_ode(cell, [0.36, 0.38], 0.38, t_max)
+        assert write_time_ode(cell, 0.40, 0.38, t_max) > 0.0 and len(calls) == 1
+        assert first.tolist() == again.tolist()
+
+    def test_holds_the_rules_of_its_edges(self, default_cell):
+        path = dataclasses.replace(default_cell).write_path
+        assert (path.r_crit, path.v_star) == _critical_ratio(default_cell)
+        assert path.cuts == [v for v in (default_cell.vddc, path.v_star)
+                             if default_cell.v_trip < v < default_cell.vdd]
+        assert path.edges.tolist() == transients._write_edges(
+            default_cell, path.cuts, path.v_star).tolist()
+        c = transients._columns(default_cell)
+        for order, (nodes, w, h_n, h_p) in zip((8, 16), path.rules):
+            ref_nodes, ref_w = transients._composite_rule(path.edges, order)
+            assert nodes.tolist() == ref_nodes.tolist() and w.tolist() == ref_w.tolist()
+            ref_n, ref_p = transients._drives(c, nodes)
+            assert h_n.tolist() == ref_n.tolist() and h_p.tolist() == ref_p.tolist()
+
+
+class TestFminboundPort:
+    """The bounded minimiser of _critical_ratio against scipy's
+    minimize_scalar(method="bounded"): x, f(x) and every evaluation point."""
+
+    @staticmethod
+    def both(f, lo, hi, xatol):
+        """(port result, its evaluation points, scipy result, its points)."""
+        port_calls, ref_calls = [], []
+        port = _fminbound(lambda x: port_calls.append(x) or f(x), lo, hi, xatol)
+        with np.errstate(all="ignore"):  # scipy's numpy scalars meet inf and nan values
+            ref = minimize_scalar(lambda x: ref_calls.append(x) or f(x), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": xatol})
+        return port, port_calls, (ref.x, ref.fun), ref_calls
+
+    def assert_same(self, f, lo, hi, xatol):
+        port, port_calls, ref, ref_calls = self.both(f, lo, hi, xatol)
+        assert np.array_equal(port, ref, equal_nan=True)
+        assert port_calls == ref_calls
+        return port_calls
+
+    def checked_critical_ratio(self, cells, monkeypatch):
+        """_critical_ratio of each cell, every minimisation it runs checked."""
+        port = transients._fminbound
+        seen = []
+
+        def checked(f, lo, hi, xatol):
+            seen.append(lo)
+            self.assert_same(f, lo, hi, xatol)
+            return port(f, lo, hi, xatol)
+
+        monkeypatch.setattr(transients, "_fminbound", checked)
+        for cell in cells:
+            _critical_ratio(cell)
+        return len(seen)
+
+    def test_bundled_cell(self, default_cell, monkeypatch):
+        assert self.checked_critical_ratio([default_cell], monkeypatch) == 1
+
+    @pytest.mark.parametrize("axis, values", [
+        ("vdd", np.linspace(0.7, 0.35, 351)),  # the design benchmark's sweeps
+        ("vwl", np.linspace(0.65, 0.45, 81)),
+    ])
+    def test_design_sweep_cells(self, default_cell, monkeypatch, axis, values):
+        cells = [_sweep_cell(default_cell, axis, float(f"{v:.4f}")) for v in values]
+        assert self.checked_critical_ratio(cells, monkeypatch) == len(cells)
+
+    OBJECTIVES = {
+        "quadratic": lambda x, c, s: s * s * (x - c) ** 2 - c,
+        "cos": lambda x, c, s: math.cos(8.0 * s * x + c),
+        "flat": lambda x, c, s: max(abs(x - c) - 0.3 * abs(s), 0.0),
+        "steps": lambda x, c, s: math.floor(4.0 * (x - c) ** 2),  # ties within a step
+        "monotone": lambda x, c, s: s * x,  # minimum at an end
+        "exp": lambda x, c, s: math.exp(s * (x - c)),
+        "constant": lambda x, c, s: c,
+        "kink": lambda x, c, s: abs(s) * abs(x - c),
+        "quartic": lambda x, c, s: s * s * (x - c) ** 4,
+        "wall": lambda x, c, s: math.inf if x > c else (x - c + s) ** 2,  # h_p = 0 at vddc
+        "nan": lambda x, c, s: math.nan if x > c else s * x,
+    }
+
+    @settings(max_examples=600, deadline=None)
+    @given(kind=st.sampled_from(sorted(OBJECTIVES)), c=st.floats(-2.0, 2.0),
+           s=st.floats(-3.0, 3.0), lo=st.floats(-2.0, 2.0),
+           width=st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-300, 1e-12])),
+           xatol=st.sampled_from([0.0, 1e-15, 1e-8, 1e-5, 0.1]))
+    def test_matches_scipy_on_synthetic_objectives(self, kind, c, s, lo, width, xatol):
+        objective = self.OBJECTIVES[kind]
+        self.assert_same(lambda x: objective(x, c, s), lo, lo + width, xatol)
+
+    @pytest.mark.parametrize("xatol", [1e-5, 0.1])
+    def test_first_stopping_test_at_its_threshold(self, xatol):
+        # brackets about 1.0787 * xatol wide stop before the first step or take it
+        for width in np.linspace(1.07, 1.09, 41) * xatol:
+            self.assert_same(lambda x: (x - 0.3 * xatol) ** 2, 0.0, float(width), xatol)
+
+    def test_degenerate_bracket_evaluates_once(self):
+        calls = self.assert_same(lambda x: (x - 1.0) ** 2, 0.25, 0.25, 1e-15)
+        assert calls == [0.25]
+
+    def test_evaluation_cap(self):
+        # |x| with xatol = 0 shrinks towards 0 without ever meeting the tolerance
+        calls = self.assert_same(abs, -1.0, 1.0, 0.0)
+        assert len(calls) == transients._FMINBOUND_MAX_EVALS == 500
 
 
 class TestDefaultWriteTMax:
