@@ -29,12 +29,6 @@ _ZERO_C_IN_K = 273.15
 # while preserving monotonicity.
 EXP_ARG_LIMIT = 60.0
 
-# Drain biases from which _current_proposed works in place: the W(beta0)
-# chunks of a sweep (about 14000) gain a few per cent, while up to a few
-# thousand (the ODE oracles' lanes and nodes) the extra calls cost what the
-# saved temporaries do.
-_IN_PLACE_MIN = 8192
-
 _POLARITIES = ("nmos", "pmos")
 
 
@@ -166,30 +160,11 @@ def gate_polynomial(params, vgs, vt, vth=None):
 
 
 def _current_proposed(params, vgs, vds, vt, vth=None):
-    """Array-friendly kernel of the full model; no OperatingPoint checks.
-
-    i0*exp(p) * exp(dibl*vds/(n*vt)) * -expm1(-k1*vds/vt). From _IN_PLACE_MIN
-    drain biases on, the result is built step by step in two fresh buffers of
-    the broadcast shape, each step rounding as in the plain expression; fewer
-    biases (scalars included) take the plain expression, whose temporaries
-    cost less than the extra calls. Inputs are never written.
-    """
+    """Array-friendly kernel of the full model; no OperatingPoint checks."""
     p = np.clip(gate_polynomial(params, vgs, vt, vth), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    if np.size(vds) < _IN_PLACE_MIN:
-        dibl = np.exp(params.dibl * vds / (params.n * vt))
-        transregional = -np.expm1(-params.k1 * vds / vt)
-        return params.i0 * np.exp(p) * dibl * transregional
-    n_vt = params.n * vt
-    out = np.multiply(params.dibl, vds, out=np.empty(np.broadcast(p, vds, n_vt).shape))
-    out /= n_vt
-    np.exp(out, out=out)
-    transregional = np.multiply(-params.k1, vds, out=np.empty(out.shape))
-    transregional /= vt
-    np.expm1(transregional, out=transregional)
-    np.negative(transregional, out=transregional)
-    out *= params.i0 * np.exp(p)
-    out *= transregional
-    return out
+    dibl = np.exp(params.dibl * vds / (params.n * vt))
+    transregional = -np.expm1(-params.k1 * vds / vt)
+    return params.i0 * np.exp(p) * dibl * transregional
 
 
 def ids_proposed(params, op):

@@ -190,8 +190,8 @@ class CellConfig:
     @cached_property
     def write_path(self):
         """What every write_time_ode call on this cell shares, computed once:
-        r_crit and v* (_critical_ratio), the cuts of the path, its panel edges,
-        and per rule order (8, 16) the nodes, weights, h_n and h_p."""
+        r_crit (_critical_ratio), the cuts of the path, its constants c
+        (_columns) and per rule order (8, 16) the weights, h_n and h_p."""
         r_crit, v_star = _critical_ratio(self)
         cuts = [v for v in (self.vddc, v_star) if self.v_trip < v < self.vdd]
         edges = _write_edges(self, cuts, v_star)
@@ -199,9 +199,8 @@ class CellConfig:
         rules = []
         for order in (8, 16):
             nodes, w = _composite_rule(edges, order)
-            rules.append((nodes, w, *_drives(c, nodes)))
-        return SimpleNamespace(r_crit=r_crit, v_star=v_star, cuts=cuts, edges=edges,
-                               rules=rules)
+            rules.append((w, *_drives(c, nodes)))
+        return SimpleNamespace(r_crit=r_crit, cuts=cuts, c=c, rules=rules)
 
     # -- serialization --------------------------------------------------------
     def to_dict(self):
@@ -553,14 +552,14 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     live = r < path.r_crit
     r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
     sums = []
-    for _, w, h_n, h_p in path.rules:
+    for w, h_n, h_p in path.rules:
         acc = np.zeros(r.shape)
         for wk, nk, pk in zip(w, h_n, h_p):
             acc += wk / (nk - r_live * pk)
         sums.append(acc)
     coarse, total = sums
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        total[i] = _trip_quad(_columns(cell), r[i], path.cuts)
+        total[i] = _trip_quad(path.c, r[i], path.cuts)
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t

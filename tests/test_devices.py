@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from sramyield import DeviceParams, DomainError, OperatingPoint, ParseError
 from sramyield.devices import (
-    _IN_PLACE_MIN,
     EXP_ARG_LIMIT,
-    _current_proposed,
     gate_polynomial,
     ids_classic,
     ids_proposed,
@@ -159,44 +157,6 @@ class TestBaselines:
             ratio = ids_proposed(params, op) / ids_transregional(params, op)
             expected = math.exp(params.dibl * vds / (params.n * thermal_voltage(25.0)))
             assert ratio == pytest.approx(expected, rel=1e-15, abs=0)
-
-
-
-class TestProposedKernel:
-    """_current_proposed, in place from _IN_PLACE_MIN biases on, against the
-    plain expression: the same bits, the same shapes, inputs untouched."""
-
-    @staticmethod
-    def plain(params, vgs, vds, vt, vth):
-        p = np.clip(gate_polynomial(params, vgs, vt, vth), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-        dibl = np.exp(params.dibl * vds / (params.n * vt))
-        return params.i0 * np.exp(p) * dibl * -np.expm1(-params.k1 * vds / vt)
-
-    @pytest.mark.parametrize("lanes", [1, _IN_PLACE_MIN - 1, _IN_PLACE_MIN, 3 * _IN_PLACE_MIN])
-    def test_matches_the_plain_expression(self, device_table, lanes):
-        rng = np.random.default_rng(lanes)
-        vt = thermal_voltage(25.0)
-        vds = rng.uniform(0.0, 0.9, lanes)
-        vth = rng.uniform(0.1, 0.6, lanes)
-        column = np.full((3, 1), 0.55)
-        cases = [
-            (0.5, vds, vt, 0.5),  # the drives of the ODE oracles
-            (rng.uniform(0.0, 0.9, lanes), vds, vt, vth),  # fit and RK4 lanes
-            (column, np.stack([vds] * 3), np.full((3, 1), vt), column),  # per-cell rows
-            (column, vds, vt, None),  # rows from the gate side only
-            (0.6, 0.3, vt, vth),  # one bias, many thresholds
-        ]
-        for params in device_table.values():
-            for args in cases:
-                before = [np.copy(a) for a in args if a is not None]
-                got, ref = _current_proposed(params, *args), self.plain(params, *args)
-                assert np.shape(got) == np.shape(ref)
-                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-                assert all(np.array_equal(b, a) for b, a in zip(before, args))
-
-    def test_scalars_give_a_numpy_scalar(self, device_table):
-        got = _current_proposed(device_table["nch_svt"], 0.6, 0.3, thermal_voltage(25.0))
-        assert type(got) is np.float64
 
 
 @st.composite

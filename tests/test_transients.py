@@ -695,18 +695,20 @@ class TestWritePath:
         assert write_time_ode(cell, 0.40, 0.38, t_max) > 0.0 and len(calls) == 1
         assert first.tolist() == again.tolist()
 
-    def test_holds_the_rules_of_its_edges(self, default_cell):
+    def test_holds_what_write_time_ode_reads(self, default_cell):
         path = dataclasses.replace(default_cell).write_path
-        assert (path.r_crit, path.v_star) == _critical_ratio(default_cell)
-        assert path.cuts == [v for v in (default_cell.vddc, path.v_star)
-                             if default_cell.v_trip < v < default_cell.vdd]
-        assert path.edges.tolist() == transients._write_edges(
-            default_cell, path.cuts, path.v_star).tolist()
+        r_crit, v_star = _critical_ratio(default_cell)
+        cuts = [v for v in (default_cell.vddc, v_star)
+                if default_cell.v_trip < v < default_cell.vdd]
+        assert path.r_crit == r_crit and path.cuts == cuts
         c = transients._columns(default_cell)
-        for order, (nodes, w, h_n, h_p) in zip((8, 16), path.rules):
-            ref_nodes, ref_w = transients._composite_rule(path.edges, order)
-            assert nodes.tolist() == ref_nodes.tolist() and w.tolist() == ref_w.tolist()
+        assert path.c == c
+        edges = transients._write_edges(default_cell, cuts, v_star)
+        assert len(path.rules) == 2
+        for order, (w, h_n, h_p) in zip((8, 16), path.rules):
+            nodes, ref_w = transients._composite_rule(edges, order)
             ref_n, ref_p = transients._drives(c, nodes)
+            assert w.tolist() == ref_w.tolist()
             assert h_n.tolist() == ref_n.tolist() and h_p.tolist() == ref_p.tolist()
 
 
