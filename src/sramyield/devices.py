@@ -167,6 +167,16 @@ def _current_proposed(params, vgs, vds, vt, vth=None):
     return params.i0 * np.exp(p) * dibl * transregional
 
 
+def _current_at_zero_overdrive(params, vds, vt):
+    """_current_proposed with the gate polynomial exactly 0 (vth = vgs), bit
+    for bit, since i0 * exp(0) == i0: the drain factors alone, without the
+    clip and exp of the gate term. The exact oracles evaluate every current
+    this way and scale it by exp(p) per sample."""
+    dibl = np.exp(params.dibl * vds / (params.n * vt))
+    transregional = -np.expm1(-params.k1 * vds / vt)
+    return params.i0 * dibl * transregional
+
+
 def ids_proposed(params, op):
     """Drain current of the full model: DIBL factor and transregional factor.
 

@@ -32,7 +32,7 @@ import numpy as np
 from .devices import (
     EXP_ARG_LIMIT,
     DeviceParams,
-    _current_proposed,
+    _current_at_zero_overdrive,
     gate_polynomial,
     thermal_voltage,
 )
@@ -43,9 +43,11 @@ TRIP_RATIO_BOUNDS = (0.40, 0.62)
 BOOST_HEADROOM = 0.2
 _READ_PANELS = 512  # s = vdd - dv from vdd down to vdd * 2**-52, geometric
 _NEWTON_STEPS = 3
+_READ_CHUNK = 4096  # lanes per Newton pass of delta_v_ode: (8, chunk) node arrays
 _WRITE_PANELS = 8  # per segment of the write path
 _WRITE_GRADING = 10  # panels halving towards v*, per side
 _WRITE_REL_TOL = 1e-12
+_WRITE_CHUNK = 16384  # lanes per pass of write_time_ode's node sums
 _FMINBOUND_MAX_EVALS = 500  # scipy's maxiter default for method="bounded"
 
 
@@ -186,6 +188,12 @@ class CellConfig:
         """W(beta0), the write integral of dv / (h_n - beta0*h_p) over
         [v_trip, vdd] (V/A), computed once: _trip_integrals of this cell alone."""
         return float(_trip_integrals([self])[0])
+
+    @cached_property
+    def read_table(self):
+        """(edges, F), the scaled-time table every delta_v_ode call on this
+        cell reads, computed once (_read_table)."""
+        return _read_table(self)
 
     @cached_property
     def write_path(self):
@@ -381,12 +389,34 @@ def delta_v_linearized(cell, vth_n, t_read, p0=None):
 
 
 def _gauss_integral(f, lo, hi):
-    """Lane-wise integral of f over [lo, hi] by 8-point Gauss-Legendre."""
+    """Lane-wise integral over [lo, hi] by 8-point Gauss-Legendre. f takes the
+    (8, L) nodes in one call; its rows are summed left to right, so a lane
+    gets the same bits at any L (numpy's reductions sum a contiguous axis
+    pairwise)."""
+    x, w = _GAUSS[8]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    acc = 0.0
-    for x, w in zip(*_GAUSS[8]):
-        acc = acc + w * f(mid + half * x)
+    rows = f(mid + half * x[:, None])
+    rows *= w[:, None]
+    acc = rows[0]
+    for row in rows[1:]:
+        acc += row
     return half * acc
+
+
+def _inverse_read_drive(cell):
+    """s -> 1/h(s), the inverse access current at p = 0 and drain bias s."""
+    nm, vt = cell.nmos, thermal_voltage(cell.temperature_c)
+    return lambda s: 1.0 / _current_at_zero_overdrive(nm, s, vt)
+
+
+def _read_table(cell):
+    """(edges, F): _READ_PANELS panel edges geometric in s = vdd - dv, from vdd
+    down to one ulp of vdd (F diverges logarithmically at full discharge),
+    and F at each edge, the integral of du/h(u) from the edge to vdd by
+    8-node Gauss-Legendre per panel."""
+    edges = cell.vdd * np.exp2(np.linspace(0.0, -52.0, _READ_PANELS + 1))
+    panels = _gauss_integral(_inverse_read_drive(cell), edges[1:], edges[:-1])
+    return edges, np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def delta_v_ode(cell, vth_n, t_read):
@@ -396,10 +426,10 @@ def delta_v_ode(cell, vth_n, t_read):
     enters the current only through exp(p), so every lane follows one
     trajectory in the scaled time tau = exp(p)*t/c_blb: with s = vdd - dv,
     tau = F(s), the integral of du/h(u) from s to vdd, h being the current
-    at p = 0. F is tabulated once per call on panels geometric in s (F
-    diverges logarithmically at full discharge) down to one ulp of vdd; each
-    lane finds its panel by bisection and solves F(s) = tau by Newton steps
-    with the exact slope -1/h(s). A tau past the table returns vdd.
+    at p = 0. F is tabulated once per cell (CellConfig.read_table); in
+    chunks of _READ_CHUNK lanes each lane finds its panel by bisection and
+    solves F(s) = tau by Newton steps with the exact slope -1/h(s). A tau
+    past the table returns vdd.
     """
     vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
@@ -409,19 +439,19 @@ def delta_v_ode(cell, vth_n, t_read):
     vt = thermal_voltage(cell.temperature_c)
     p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
     tau = np.exp(p) * t / cell.c_blb
-
-    def inv_drive(s):  # vth = vwl makes the gate polynomial exactly 0
-        return 1.0 / _current_proposed(nm, cell.vwl, s, vt, cell.vwl)
-
-    edges = cell.vdd * np.exp2(np.linspace(0.0, -52.0, _READ_PANELS + 1))
-    table = np.concatenate(([0.0], np.cumsum(_gauss_integral(inv_drive, edges[1:], edges[:-1]))))
-    k = np.minimum(np.searchsorted(table, tau, side="right") - 1, _READ_PANELS - 1)
-    hi, lo = edges[k], edges[k + 1]
-    s = hi - (tau - table[k]) / (table[k + 1] - table[k]) * (hi - lo)
-    for _ in range(_NEWTON_STEPS):
-        residual = table[k] + _gauss_integral(inv_drive, s, hi) - tau
-        s = np.clip(s + residual / inv_drive(s), lo, hi)
-    dv = np.where(tau >= table[-1], cell.vdd, cell.vdd - s)
+    edges, table = cell.read_table
+    inv_drive = _inverse_read_drive(cell)
+    dv = np.empty(tau.shape)
+    out, tau = dv.reshape(-1), tau.reshape(-1)
+    for i in range(0, tau.size, _READ_CHUNK):
+        chunk = tau[i:i + _READ_CHUNK]
+        k = np.minimum(np.searchsorted(table, chunk, side="right") - 1, _READ_PANELS - 1)
+        hi, lo = edges[k], edges[k + 1]
+        s = hi - (chunk - table[k]) / (table[k + 1] - table[k]) * (hi - lo)
+        for _ in range(_NEWTON_STEPS):
+            residual = table[k] + _gauss_integral(inv_drive, s, hi) - chunk
+            s = np.clip(s + residual / inv_drive(s), lo, hi)
+        out[i:i + _READ_CHUNK] = np.where(chunk >= table[-1], cell.vdd, cell.vdd - s)
     return float(dv) if dv.ndim == 0 else dv
 
 
@@ -463,11 +493,11 @@ def _write_edges(cell, cuts, v_star=None):
 
 
 def _drives(c, v):
-    """(h_n, h_p) on the write path: the access and pull-up currents at p = 0
-    (vth = vgs makes each gate polynomial exactly 0), for _columns `c`."""
+    """(h_n, h_p) on the write path: the access and pull-up currents at p = 0,
+    for _columns `c`."""
     vds_p = np.maximum(c.vddc - v, 0.0)
-    return (_current_proposed(c.nmos, c.vwl, v, c.vt, c.vwl),
-            _current_proposed(c.pmos, c.vddc, vds_p, c.vt, c.vddc))
+    return (_current_at_zero_overdrive(c.nmos, v, c.vt),
+            _current_at_zero_overdrive(c.pmos, vds_p, c.vt))
 
 
 def _trip_integrals(cells):
@@ -535,8 +565,9 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     vddc, so the path is split there. Returns math.inf for censored samples:
     r >= r_crit = min h_n/h_p on the path (the pull-up holds the node above
     v_trip for ever, or wins outright at the start), or a crossing after
-    t_max. Each lane compares 8- and 16-node composite rules; lanes close to
-    r_crit, whose integrand peaks, fall back to adaptive quadrature.
+    t_max. Each lane compares 8- and 16-node composite rules, summed node by
+    node over chunks of _WRITE_CHUNK lanes into reused buffers; lanes close
+    to r_crit, whose integrand peaks, fall back to adaptive quadrature.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
@@ -551,13 +582,18 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     path = cell.write_path
     live = r < path.r_crit
     r_live = np.where(live, r, 0.0)  # dead lanes: a harmless integrand
-    sums = []
-    for w, h_n, h_p in path.rules:
-        acc = np.zeros(r.shape)
-        for wk, nk, pk in zip(w, h_n, h_p):
-            acc += wk / (nk - r_live * pk)
-        sums.append(acc)
-    coarse, total = sums
+    coarse, total = np.zeros(r.size), np.zeros(r.size)
+    buf = np.empty(min(r.size, _WRITE_CHUNK))
+    for start in range(0, r.size, _WRITE_CHUNK):
+        part = slice(start, start + _WRITE_CHUNK)
+        lanes = r_live[part]
+        term = buf[:lanes.size]
+        for acc, (w, h_n, h_p) in zip((coarse[part], total[part]), path.rules):
+            for wk, nk, pk in zip(w, h_n, h_p):  # acc += wk / (nk - r*pk), in place
+                np.multiply(lanes, pk, out=term)
+                np.subtract(nk, term, out=term)
+                np.divide(wk, term, out=term)
+                acc += term
     for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
         total[i] = _trip_quad(path.c, r[i], path.cuts)
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)

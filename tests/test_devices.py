@@ -5,7 +5,9 @@ formulas before this suite was written; they are asserted at double
 precision here.
 """
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from sramyield import DeviceParams, DomainError, OperatingPoint, ParseError
 from sramyield.devices import (
     EXP_ARG_LIMIT,
+    _current_at_zero_overdrive,
+    _current_proposed,
     gate_polynomial,
     ids_classic,
     ids_proposed,
@@ -190,6 +194,46 @@ def test_property_dibl_identity_everywhere(params, vds, vgs):
         params.dibl * vds / (params.n * thermal_voltage(25.0))
     )
     assert lhs == pytest.approx(rhs, rel=5e-16, abs=0.0)
+
+
+class TestZeroOverdriveKernel:
+    """_current_at_zero_overdrive is _current_proposed at vth = vgs, bit for bit."""
+
+    VDS = np.linspace(0.0, 0.9, 181)
+
+    def flavors(self, device_table):
+        # the bundled flavors, plus each with a negative DIBL coefficient
+        params = list(device_table.values())
+        return params + [dataclasses.replace(p, dibl=-abs(p.dibl) - 0.01) for p in params]
+
+    def test_scalars_and_arrays(self, device_table):
+        for temperature_c in (-40.0, 25.0, 125.0):
+            vt = thermal_voltage(temperature_c)
+            for params in self.flavors(device_table):
+                vgs = params.vth_nominal + 0.1
+                ref = _current_proposed(params, vgs, self.VDS, vt, vgs)
+                assert _current_at_zero_overdrive(params, self.VDS, vt).tolist() == ref.tolist()
+                assert [float(_current_at_zero_overdrive(params, v, vt))
+                        for v in self.VDS.tolist()] == ref.tolist()
+
+    def test_per_cell_columns(self, device_table):
+        # (C, 1) constants against (C, N) biases, as the batched closed forms pass them
+        params = self.flavors(device_table)
+        cols = SimpleNamespace(**{k: np.array([getattr(p, k) for p in params])[:, None]
+                                  for k in ("i0", "k1", "k2", "dibl", "n")})
+        vt = np.array([thermal_voltage(t) for t in np.linspace(-40.0, 125.0, len(params))])[:, None]
+        vgs = np.linspace(0.3, 0.8, len(params))[:, None]
+        vds = self.VDS * np.linspace(0.5, 1.0, len(params))[:, None]
+        ref = _current_proposed(cols, vgs, vds, vt, vgs)
+        assert _current_at_zero_overdrive(cols, vds, vt).tolist() == ref.tolist()
+
+
+@given(params=valid_params(), vds=st.floats(0.0, 0.9), vgs=st.floats(0.0, 0.9),
+       temperature_c=st.floats(-40.0, 125.0))
+@settings(max_examples=200, deadline=None)
+def test_property_zero_overdrive_kernel_is_exact(params, vds, vgs, temperature_c):
+    vt = thermal_voltage(temperature_c)
+    assert _current_at_zero_overdrive(params, vds, vt) == _current_proposed(params, vgs, vds, vt, vgs)
 
 
 class TestParameterValidation:

@@ -29,7 +29,7 @@ from sramyield.devices import (
     thermal_voltage,
 )
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
-from sramyield.mc import draw_write_samples
+from sramyield.mc import draw_access_samples, draw_write_samples
 from sramyield.transients import (
     AssistConfig,
     CellConfig,
@@ -408,6 +408,72 @@ class TestDeltaVOde:
         assert np.array_equal(a, b)
 
 
+class TestReadTable:
+    """CellConfig.read_table: the scaled-time table every delta_v_ode call on
+    a cell reads, and the lane chunks that read it."""
+
+    # sha256 of delta_v_ode's float64 bytes on access lanes [0, 2e5) of the
+    # bundled cell and variation, from the oracle that rebuilt its table on
+    # every call and summed its quadrature nodes one lane array at a time.
+    PINNED = {
+        5e-11: "2f32e08d2856242bc9396ec63d031429ea406ea05786d067e8355a3a34796a1c",
+        1.11e-10: "b555d4ce1bcb77e6d25216be8e626c4c6371d828d36fff2a4c51acf94d66c5b2",
+        3e-10: "cc12ad4166df54779c01e4cbab85e87ffe22bb0965d2115b9cfa0521ff637c94",
+    }
+
+    @pytest.mark.parametrize("t_read", list(PINNED), ids=str)
+    def test_bundled_lanes_are_pinned(self, default_cell, default_variation, t_read):
+        vth_n, _ = draw_access_samples(default_variation, 0, 200_000)
+        dv = delta_v_ode(default_cell, vth_n, t_read)
+        assert hashlib.sha256(dv.tobytes()).hexdigest() == self.PINNED[t_read]
+
+    def test_lanes_are_independent_of_chunking(self, default_cell, default_variation):
+        chunk = transients._READ_CHUNK
+        n = 2 * chunk + 3
+        vth_n, _ = draw_access_samples(default_variation, 0, n)
+        t = np.geomspace(0.1, 10.0, n) * DEFAULT_T_READ
+        whole = delta_v_ode(default_cell, vth_n, t)
+        for cuts in ([0, chunk, 2 * chunk, n], [0, 5, chunk + 7, n]):
+            parts = [delta_v_ode(default_cell, vth_n[a:b], t[a:b])
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.concatenate(parts).tolist() == whole.tolist()
+        assert [delta_v_ode(default_cell, v, u) for v, u in zip(vth_n.tolist(), t.tolist())] \
+            == whole.tolist()
+        for i in (0, chunk - 1, chunk, n - 1):
+            assert delta_v_ode(default_cell, vth_n[i:i + 1], t[i:i + 1]).tolist() == [whole[i]]
+        # n = 5 * 1639: a 2-D call gives the same lanes in the same shape
+        grid = delta_v_ode(default_cell, vth_n.reshape(5, -1), t.reshape(5, -1))
+        assert grid.shape == (5, n // 5) and grid.ravel().tolist() == whole.tolist()
+
+    def test_computed_once_per_cell(self, default_cell, monkeypatch):
+        calls = []
+        build = transients._read_table
+        monkeypatch.setattr(transients, "_read_table",
+                            lambda cell: calls.append(cell) or build(cell))
+        cell = dataclasses.replace(default_cell)  # nothing cached yet
+        first = delta_v_ode(cell, [0.36, 0.38], DEFAULT_T_READ)
+        assert len(calls) == 1
+        again = delta_v_ode(cell, [0.36, 0.38], DEFAULT_T_READ)
+        assert delta_v_ode(cell, 0.40, 10.0 * DEFAULT_T_READ) > 0.0 and len(calls) == 1
+        assert first.tolist() == again.tolist()
+
+    @pytest.mark.parametrize("cell_name", ["default_cell", "svt_read_cell"])
+    def test_holds_the_panel_integrals(self, request, cell_name):
+        # recomputed as delta_v_ode once did on every call: the full model's
+        # current at vth = vwl, one node at a time over all panels
+        cell = request.getfixturevalue(cell_name)
+        edges, table = dataclasses.replace(cell).read_table
+        nm, vt = cell.nmos, thermal_voltage(cell.temperature_c)
+        ref_edges = cell.vdd * np.exp2(np.linspace(0.0, -52.0, transients._READ_PANELS + 1))
+        lo, hi = ref_edges[1:], ref_edges[:-1]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        acc = 0.0
+        for x, w in zip(*transients._GAUSS[8]):
+            acc = acc + w * (1.0 / _current_proposed(nm, cell.vwl, mid + half * x, vt, cell.vwl))
+        assert edges.tolist() == ref_edges.tolist()
+        assert table.tolist() == np.concatenate(([0.0], np.cumsum(half * acc))).tolist()
+
+
 @pytest.mark.parametrize("oracle", [delta_v_closed, delta_v_ode])
 def test_nan_read_time_rejected(default_cell, oracle):
     with pytest.raises(DomainError, match="t_read"):
@@ -681,6 +747,20 @@ class TestWritePath:
         horizon = default_write_t_max(default_cell) if t_max is None else t_max
         t = write_time_ode(default_cell, vth_n, vth_p, horizon)
         assert hashlib.sha256(t.tobytes()).hexdigest() == self.PINNED[t_max]
+
+    def test_lanes_are_independent_of_chunking(self, default_cell, default_variation):
+        chunk = transients._WRITE_CHUNK
+        n = 2 * chunk + 3
+        vth_n, vth_p = draw_write_samples(default_variation, 0, n)
+        t_max = default_write_t_max(default_cell)
+        whole = write_time_ode(default_cell, vth_n, vth_p, t_max)
+        assert np.isinf(whole).any() and np.isfinite(whole).any()
+        for cuts in ([0, chunk, 2 * chunk, n], [0, 5, chunk + 7, n]):
+            parts = [write_time_ode(default_cell, vth_n[a:b], vth_p[a:b], t_max)
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.concatenate(parts).tolist() == whole.tolist()
+        for i in (0, chunk - 1, chunk, n - 1):
+            assert write_time_ode(default_cell, float(vth_n[i]), float(vth_p[i]), t_max) == whole[i]
 
     def test_computed_once_per_cell(self, default_cell, monkeypatch):
         calls = []
