@@ -3,17 +3,18 @@
 Input artifacts (device, cell, variation, distribution JSON) are read with
 `read_json` and built under `parsing`, which turns malformed content into
 ParseError (CLI exit 2) while the constructors' own domain checks pass
-through unchanged. Outputs go through `write_json` and `write_csv`, so every
-CSV starts with the same manifest line. `csv_rows` renders numeric columns
-as CSV text in bulk, each float as its `repr`, and `csv_text` feeds it a
-table in chunks of rows.
+through unchanged. Outputs go through `write_json` and `csv_file` (or
+`write_csv`, its one-call form), so every CSV starts with the same manifest
+line. `csv_rows` renders numeric columns as CSV text in bulk, each float as
+its `repr`, and `csv_text` feeds it a table in chunks of rows.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from importlib import resources
 
 import numpy as np
@@ -56,15 +57,52 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _cannot_write(path, exc):
+    return ParseError(f"cannot write {path}: {exc}")
+
+
+@contextmanager
+def csv_file(path, header):
+    """Open `path` for a CSV, write the manifest line and `header`, and yield
+    write(text) for the rest, text ending in a newline.
+
+    Only an OSError of opening, writing or closing the file becomes
+    ParseError; whatever the body raises keeps its type. If anything fails,
+    the partial file is removed (if it is a regular file, not a device such
+    as /dev/null) before the error propagates.
+    """
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+    def write(text):
+        try:
+            fh.write(text)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+
+    try:
+        write(MANIFEST_LINE + header + "\n")
+        yield write
+        try:
+            fh.close()
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+    except BaseException:
+        with suppress(OSError):
+            fh.close()
+        if os.path.isfile(path):
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def write_csv(path, header, lines):
     """Manifest line, header, then `lines`, each already ending in a newline."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(MANIFEST_LINE)
-            fh.write(header + "\n")
-            fh.writelines(lines)
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
+    with csv_file(path, header) as write:
+        for line in lines:
+            write(line)
 
 
 # -- CSV text of numeric columns -----------------------------------------------------

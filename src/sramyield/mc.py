@@ -5,9 +5,10 @@ counter block i of the stream keyed by (seed, role), so any partition of the
 index range over any number of threads reproduces identical draws. Every
 pass walks the index range as one ordered stream of fixed _BLOCK-sized
 blocks: each block is drawn once, evaluated, scored against every
-constraint of the run and dropped, so a run holds O(_BLOCK * threads) lanes
-whatever n is. `threads` sets how many blocks are worked on at once, not how
-the range is cut. Failure counts come with Wilson score intervals; raw
+constraint of the run, written to the sample export if there is one and
+dropped, so a run holds O(_BLOCK * threads) lanes whatever n is, with or
+without export. `threads` sets how many blocks are worked on at once, not
+how the range is cut. Failure counts come with Wilson score intervals; raw
 samples can be exported as CSV for the distribution estimators.
 """
 
@@ -15,13 +16,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .artifacts import csv_text, parsing, write_csv
+from .artifacts import csv_file, csv_text, parsing, write_csv
 from .errors import DomainError, require_finite
 from .transients import (CellConfig, default_write_t_max, delta_v_closed, delta_v_ode,
                          write_time_closed, write_time_ode)
@@ -159,17 +162,31 @@ def draw_write_samples(var, start, count):
 
 
 def _stream(fn, n, threads):
-    """[fn(start, count) for each fixed block of [0, n)], in index order.
+    """Lazily yield fn(start, count) for each fixed block of [0, n), in index
+    order.
 
-    Blocks are _BLOCK samples long whatever the thread count, so a pass holds
-    O(_BLOCK * threads) lanes at a time; with threads > 1 a pool works on
-    `threads` blocks at once and results come back in block order.
+    Blocks are _BLOCK samples long whatever the thread count. With
+    threads > 1 a pool works on the next `threads` blocks at once, and a
+    block is submitted only when the consumer comes back for the next
+    result, so at most `threads` blocks are in flight, the one the consumer
+    holds included, and a pass holds O(_BLOCK * threads) lanes however
+    slowly the consumer goes.
     """
-    blocks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
-    if threads <= 1 or len(blocks) == 1:
-        return [fn(s, c) for s, c in blocks]
+    starts = range(0, n, _BLOCK)
+
+    def run(s):
+        return fn(s, min(_BLOCK, n - s))
+
+    if threads <= 1 or len(starts) == 1:
+        yield from map(run, starts)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda sc: fn(*sc), blocks))
+        pending = deque(pool.submit(run, s) for s in starts[:threads])
+        for s in starts[threads:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(run, s))
+        while pending:
+            yield pending.popleft().result()
 
 
 # -- sample evaluation ------------------------------------------------------------
@@ -259,10 +276,11 @@ def write_samples(cell, var, n, mode="closed", t_max=None, threads=1):
 def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=None):
     """One timed pass over n samples; one McResult per constraint.
 
-    Every constraint is checked before the first draw. Access evaluates dv
-    once per read time on each block, write evaluates the write time once.
-    Blocks are dropped after scoring unless an export (one constraint) keeps
-    them.
+    Every constraint is checked, and an export file (one constraint) opened,
+    before the first draw. Access evaluates dv once per read time on each
+    block, write evaluates the write time once. Each block is scored, its
+    rows exported, and dropped before the next block is taken; wall_time
+    covers the export. If a block fails, the partial export is removed.
     """
     what = "t_read" if role == _ROLE_ACCESS else "t_write"
     for c in constraints:
@@ -276,6 +294,8 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
                 raise DomainError(f"t_write {c!r} exceeds the censoring horizon t_max {t_max!r}")
     _check_pass(n, mode, cell)
 
+    other_column = "v_os" if role == _ROLE_ACCESS else "vth_p"
+
     def block(start, count):
         vth_n, other = _draw_role(role, var, start, count)
         if role == _ROLE_ACCESS:
@@ -285,20 +305,23 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
             metrics = [_oracle(role, cell, mode, vth_n, other, t_max)]
             fails = [metrics[0] > t for t in constraints]
         counts = [int(np.count_nonzero(f)) for f in fails]
-        return counts, (vth_n, other, metrics[0], fails[0]) if export_path is not None else None
+        return start, counts, {"vth_n": vth_n, other_column: other, "metric": metrics[0],
+                               "fail": fails[0]}
 
+    totals = [0] * len(constraints)
     started = time.perf_counter()
-    parts = _stream(block, n, threads)
+    export = nullcontext() if export_path is None else csv_file(export_path, SAMPLES_CSV_HEADER)
+    with export as write, closing(_stream(block, n, threads)) as blocks:
+        for start, counts, rows in blocks:
+            totals = [a + b for a, b in zip(totals, counts)]
+            if write is not None:
+                export_samples(write, start=start, **rows)
+            del rows  # drop this block before the next one is drawn
     wall = time.perf_counter() - started
-    if export_path is not None:
-        vth_n, other, metric, fail = (np.concatenate(cols) for cols in zip(*(k for _, k in parts)))
-        other_column = "v_os" if role == _ROLE_ACCESS else "vth_p"
-        export_samples(export_path, vth_n=vth_n, metric=metric, fail=fail,
-                       **{other_column: other})
     path = str(export_path) if export_path is not None else None
     return [McResult(n=n, failures=f, pf=f / n, ci95=wilson_ci(f, n, 0.95),
                      samples_path=path, wall_time=wall)
-            for f in map(sum, zip(*(counts for counts, _ in parts)))]
+            for f in totals]
 
 
 def run_access_mc(cell, var, n, t_read, mode="closed", threads=1, export_path=None):
@@ -329,18 +352,27 @@ def run_mc(role, cell, var, n, constraints, mode="closed", threads=1):
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
 
 
-def export_samples(path, vth_n, metric, fail, vth_p=None, v_os=None):
-    """One CSV row per sample; columns not drawn for this mode stay empty.
+def export_samples(out, vth_n, metric, fail, vth_p=None, v_os=None, start=0):
+    """One CSV row per sample, numbered from `start`; columns not drawn for
+    this mode stay empty.
 
+    `out` is a path, which gets a whole samples file (manifest line, header
+    and these rows), or the write function of a `csv_file` opened with
+    SAMPLES_CSV_HEADER, which gets these rows after those already written.
     Every float is written as its repr, so the file reads back to the exact
     sample values.
     """
     columns = [vth_n, vth_p, v_os, metric]
     fail = np.asarray(fail)
-    write_csv(path, SAMPLES_CSV_HEADER, csv_text(len(vth_n), lambda part: [
-        np.arange(part.start, part.stop),
+    text = csv_text(len(vth_n), lambda part: [
+        np.arange(start + part.start, start + part.stop),
         *(None if c is None else np.asarray(c[part], dtype=float) for c in columns),
-        fail[part]]))
+        fail[part]])
+    if callable(out):
+        for chunk in text:
+            out(chunk)
+    else:
+        write_csv(out, SAMPLES_CSV_HEADER, text)
 
 
 # -- characterization -------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramyield.artifacts import csv_rows
+from sramyield.artifacts import csv_file, csv_rows, write_csv
+from sramyield.errors import ParseError
 
 
 def reference(columns):
@@ -107,3 +108,25 @@ def test_empty_columns_and_rows():
     assert csv_rows([None, x, None]) == b",0.25,\n,-3.0,\n"
     assert csv_rows([np.array([], dtype=float)]) == b""
 
+
+def test_csv_file_writes_the_manifest_line_and_header(tmp_path):
+    path = tmp_path / "t.csv"
+    with csv_file(path, "a,b") as write:
+        write("1,2\n")
+    assert path.read_text() == "# manifest: manifest.json\na,b\n1,2\n"
+
+
+def test_csv_file_maps_only_its_own_os_errors(tmp_path):
+    with pytest.raises(ParseError, match="cannot write"):
+        with csv_file(tmp_path / "missing" / "t.csv", "a"):
+            pytest.fail("the body ran without a file")
+
+    def lines():
+        yield "1\n"
+        raise OSError("not the file's")
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError, match="not the file's") as exc:
+        write_csv(path, "a", lines())
+    assert not isinstance(exc.value, ParseError)
+    assert not path.exists()  # no partial output

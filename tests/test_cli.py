@@ -19,7 +19,8 @@ import pytest
 from sramyield import mc
 from sramyield.cli import EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_FIT, EXIT_PARSE, main
 from sramyield.mc import run_access_mc, run_write_mc
-from sramyield.transients import delta_v_closed, read_cell_json
+from sramyield.errors import DomainError
+from sramyield.transients import delta_v_closed, read_cell_json, write_time_closed
 from sramyield.yieldmodel import (
     WriteTimeDistribution,
     write_distribution_json,
@@ -717,6 +718,23 @@ class TestMc:
         assert rc == 0
         payload = json.loads((tmp_path / "mc.json").read_text())
         assert 0.0 <= payload["pf"] <= 1.0
+
+    def test_failing_block_leaves_out_dir_empty(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 64)
+        calls = []
+
+        def fail_second(cell, vth_n):
+            calls.append(len(vth_n))
+            if len(calls) == 2:
+                raise DomainError("second block")
+            return write_time_closed(cell, vth_n)
+
+        monkeypatch.setattr(mc, "write_time_closed", fail_second)
+        rc = run_cli(tmp_path, "mc", "--mode", "write", "--n", "1000", "--t-write", "2e-11",
+                     "--export", "samples.csv")
+        assert rc == EXIT_DOMAIN
+        assert "error: second block" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputNames:

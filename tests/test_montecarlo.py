@@ -6,6 +6,7 @@ index), never on how the index range was split over threads.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -49,6 +50,16 @@ VAR = VariationSpec(
     seed=901,
 )
 T_READ = 1.11e-10
+
+
+def repr_samples_csv(vth_n, vth_p, v_os, metric, fail):
+    """A samples CSV as the writer before the vectorized formatter made it:
+    Python's format and repr, row by row."""
+    drawn = (vth_n, vth_p, v_os, metric)
+    row = ("{}" + "".join("," if c is None else ",{!r}" for c in drawn) + ",{:d}\n").format
+    lists = [c.tolist() for c in drawn if c is not None]
+    rows = "".join(row(i, *cells) for i, *cells in zip(range(len(vth_n)), *lists, fail.tolist()))
+    return f"# manifest: manifest.json\n{SAMPLES_CSV_HEADER}\n{rows}".encode()
 
 
 class TestVariationSpec:
@@ -335,6 +346,111 @@ class TestStream:
         with pytest.raises(DomainError, match="at least one constraint"):
             run_mc("access", default_cell, VAR, 10, [])
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_threads_blocks_in_flight(self, threads):
+        started = []
+        blocks = mc._stream(lambda start, count: started.append(start) or start,
+                            10 * mc._BLOCK, threads)
+        assert started == []  # lazy: nothing runs before the first result is asked for
+        for taken in range(1, 10):
+            assert next(blocks) == (taken - 1) * mc._BLOCK
+            # the block just taken and at most threads - 1 later ones have started
+            assert taken <= len(started) <= min(10, taken - 1 + threads)
+        blocks.close()
+
+
+class TestStreamedExport:
+    """An export is written block by block as the pass goes."""
+
+    N = 1000
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 64)
+
+    @pytest.mark.parametrize("role", ["access", "write"])
+    def test_each_call_gets_one_block(self, default_cell, tmp_path, monkeypatch, small_blocks,
+                                      role):
+        calls = []
+        export = mc.export_samples
+
+        def spy(out, vth_n, *args, start=0, **kwargs):
+            calls.append((start, len(vth_n)))
+            return export(out, vth_n, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(mc, "export_samples", spy)
+        path = tmp_path / "s.csv"
+        if role == "access":
+            run_access_mc(default_cell, VAR, self.N, T_READ, export_path=path)
+            vth_n, v_os, metric = access_samples(default_cell, VAR, self.N, T_READ)
+            want = repr_samples_csv(vth_n, None, v_os, metric, (v_os > 0.0) & (metric < v_os))
+        else:
+            run_write_mc(default_cell, VAR, self.N, 2e-11, export_path=path)
+            vth_n, vth_p, metric = write_samples(default_cell, VAR, self.N)
+            want = repr_samples_csv(vth_n, vth_p, None, metric, metric > 2e-11)
+        assert calls == [(s, min(64, self.N - s)) for s in range(0, self.N, 64)]
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("role", ["access", "write"])
+    def test_bytes_equal_across_thread_counts(self, default_cell, tmp_path, small_blocks, role):
+        exports = []
+        for threads in (1, 2, 3):
+            path = tmp_path / f"t{threads}.csv"
+            if role == "access":
+                run_access_mc(default_cell, VAR, self.N, T_READ, threads=threads,
+                              export_path=path)
+            else:
+                run_write_mc(default_cell, VAR, self.N, 2e-11, threads=threads,
+                             export_path=path)
+            exports.append(path.read_bytes())
+        assert exports[1] == exports[0] and exports[2] == exports[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error", [DomainError, OSError])
+    def test_failing_block_leaves_no_file(self, default_cell, tmp_path, monkeypatch,
+                                          small_blocks, threads, error):
+        calls = []
+        oracle = mc.delta_v_closed
+
+        def fail_second(cell, vth_n, t):
+            calls.append(len(vth_n))
+            if len(calls) == 2:
+                raise error("second block")
+            return oracle(cell, vth_n, t)
+
+        monkeypatch.setattr(mc, "delta_v_closed", fail_second)
+        path = tmp_path / "s.csv"
+        with pytest.raises(error, match="second block") as exc:
+            run_access_mc(default_cell, VAR, self.N, T_READ, threads=threads, export_path=path)
+        assert not isinstance(exc.value, ParseError)  # only the file's own OSError is mapped
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_fails_before_drawing(self, default_cell, tmp_path, monkeypatch):
+        monkeypatch.setattr(mc, "draw_access_samples", lambda *a: pytest.fail("drew samples"))
+        with pytest.raises(ParseError, match="cannot write"):
+            run_access_mc(default_cell, VAR, 10, T_READ,
+                          export_path=tmp_path / "missing" / "x.csv")
+
+    # sha256 of samples.csv from the export that formatted the whole pass in
+    # one call after the last block
+    PINNED = {
+        "access": "07ce3ebad59c623d8f6c8e3b90f141c98ed030831fb029e56c28af1b4ecf5b8f",
+        "write": "e7487d3697f022847825188c9e05f07d6a455165e800c708224425184598370f",
+        "ode-write": "656777d3e503ed7d3adb30800fc5d93b44e30f5c3b68cd6d9ecff05b12f621f6",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_export_bytes_are_pinned(self, default_cell, tmp_path, case):
+        n = 2 * mc._BLOCK + 3
+        path = tmp_path / "s.csv"
+        if case == "access":
+            run_access_mc(default_cell, VAR, n, T_READ, export_path=path)
+        elif case == "write":
+            run_write_mc(default_cell, VAR, n, 2e-11, export_path=path)
+        else:
+            run_write_mc(default_cell, VAR, 300, 2e-11, mode="ode", export_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[case]
+
 
 class TestMcResult:
     def test_failures_bounded(self):
@@ -406,14 +522,9 @@ class TestExport:
         fail = rng.random(n) < 0.2
         path = tmp_path / "edge.csv"
         export_samples(path, vth_n=vth_n, metric=metric, fail=fail, **{other: second})
-        # the writer this export replaced: Python's format and repr, row by row
-        drawn = (vth_n, second if other == "vth_p" else None,
-                 second if other == "v_os" else None, metric)
-        row = ("{}" + "".join("," if c is None else ",{!r}" for c in drawn) + ",{:d}\n").format
-        lists = [c.tolist() for c in drawn if c is not None]
-        want = "".join(row(i, *cells) for i, *cells in zip(range(n), *lists, fail.tolist()))
-        head = f"# manifest: manifest.json\n{SAMPLES_CSV_HEADER}\n"
-        assert path.read_bytes() == (head + want).encode()
+        assert path.read_bytes() == repr_samples_csv(
+            vth_n, second if other == "vth_p" else None, second if other == "v_os" else None,
+            metric, fail)
 
     def test_export_feeds_estimators(self, default_cell, tmp_path):
         path = tmp_path / "feed.csv"
