@@ -1,19 +1,27 @@
 """Artifact boundary: every JSON and CSV file the workbench reads or writes.
 
-Input artifacts (device, cell, variation, distribution JSON) are read with
-`read_json` and built under `parsing`, which turns malformed content into
-ParseError (CLI exit 2) while the constructors' own domain checks pass
-through unchanged. Outputs go through `write_json` and `csv_file` (or
-`write_csv`, its one-call form), so every CSV starts with the same manifest
-line. `csv_rows` renders numeric columns as CSV text in bulk, each float as
-its `repr`, and `csv_text` feeds it a table in chunks of rows.
+The JSON records (device, cell, variation, offset and distribution files,
+and the fit report) derive from `Record`, which holds their whole format:
+each field is written under its key and read back by its annotation, a
+number as a JSON number and never as a bool or a string, and a missing
+optional key takes the dataclass default. `json_value` is that per-value
+check, for the one record whose layout is written by hand (the
+characterization table's rows). Input files are read with `read_json` and
+built under `parsing`, which turns malformed content into ParseError (CLI
+exit 2) while the constructors' own domain checks pass through unchanged.
+Outputs go through `write_json` and `csv_file` (or `write_csv`, its one-call
+form), so every CSV starts with the same manifest line. `csv_rows` renders
+numeric columns as CSV text in bulk, each float as its `repr`, and
+`csv_text` feeds it a table in chunks of rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
+import typing
 from contextlib import contextmanager, suppress
 from importlib import resources
 
@@ -36,6 +44,78 @@ def parsing(what):
         raise ParseError(f"{what} is missing key {missing}") from None
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
+
+
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               str: (str, "a string"), bool: (bool, "true or false")}
+
+
+def json_value(value, kind, what):
+    """`value` of a JSON artifact as a `kind` (float, int, str or bool), or
+    TypeError naming `what`. A float takes a JSON number, int or float, and
+    an int a JSON integer; a bool is neither, though Python's bool is an int."""
+    types, name = _JSON_TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+        raise TypeError(f"{what} must be {name}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+class Record:
+    """Base of the JSON record dataclasses: their one writer and one reader.
+
+    `to_dict` writes the class's constant tags `_JSON` (schema, kind), then
+    every field under its key, the field name unless `metadata["key"]` gives
+    another, and a nested record as an object. `from_dict` reads every field
+    by its annotation under `parsing(_WHAT)`: float, int, str and bool through
+    `json_value`, `X | None` also from null, and a Record recursively. A
+    missing key takes the dataclass default; a key without one is missing.
+    """
+
+    _JSON = {}
+    _WHAT = "JSON"
+
+    def to_dict(self):
+        out = dict(self._JSON)
+        for key, name, *_ in _fields(type(self)):
+            value = getattr(self, name)
+            out[key] = value.to_dict() if isinstance(value, Record) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, obj):
+        fields = _fields(cls)
+        with parsing(cls._WHAT):
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            kwargs = {}
+            for key, name, kind, nullable, required in fields:
+                if key not in obj:
+                    if required:
+                        raise KeyError(key)
+                elif obj[key] is None and nullable:
+                    kwargs[name] = None
+                elif issubclass(kind, Record):
+                    kwargs[name] = kind.from_dict(obj[key])
+                else:
+                    kwargs[name] = json_value(obj[key], kind, key)
+            return cls(**kwargs)
+
+
+@functools.cache
+def _fields(cls):
+    """(key, name, kind, nullable, required) of each field of a Record class,
+    resolved once per class: the annotations are strings until then."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        nullable = type(None) in args
+        if nullable:
+            (kind,) = (a for a in args if a is not type(None))
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        out.append((f.metadata.get("key", f.name), f.name, kind, nullable, required))
+    return tuple(out)
 
 
 def read_json(path, what):

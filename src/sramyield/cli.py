@@ -445,7 +445,7 @@ def cmd_mc(args, run, log):
             raise ParseError("mc write mode needs --t-write")
         r = run_write_mc(cell, var, args.n, args.t_write, mode=args.oracle,
                          threads=args.threads, t_max=args.t_max, export_path=export)
-    payload = r.to_dict(include_wall_time=False)
+    payload = r.to_dict()
     if export is not None:
         payload["samples_path"] = export.name
     payload["manifest"] = "manifest.json"

@@ -12,11 +12,11 @@ PMOS devices are evaluated with source-referenced magnitudes: callers pass
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import bundled_json, parsing, read_json, write_json
+from .artifacts import Record, bundled_json, read_json
 from .errors import DomainError, require_finite
 
 # Exact SI 2019 values, the same floats scipy.constants holds; importing it
@@ -43,7 +43,7 @@ def thermal_voltage(temperature_c):
 
 
 @dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(Record):
     """Fitted constants of the exponential drain-current model.
 
     Attributes
@@ -69,11 +69,13 @@ class DeviceParams:
     i0: float
     k1: float
     k2: float
-    dibl: float
+    dibl: float = field(metadata={"key": "lambda"})
     vth_nominal: float
     n: float = 1.5
     polarity: str = "nmos"
     vgs_max: float = 0.7
+
+    _WHAT = "device JSON"
 
     def __post_init__(self):
         require_finite(self, ("i0", "k1", "k2", "dibl", "vth_nominal", "n", "vgs_max"))
@@ -101,32 +103,6 @@ class DeviceParams:
                     f"current not monotone in vgs up to {self.vgs_max} V: "
                     f"k1 + 2*k2*x = {self.k1 + 2.0 * self.k2 * x_top:.4g} at x = {x_top:.3f}"
                 )
-
-    def to_dict(self):
-        return {
-            "i0": self.i0,
-            "k1": self.k1,
-            "k2": self.k2,
-            "lambda": self.dibl,
-            "n": self.n,
-            "vth_nominal": self.vth_nominal,
-            "polarity": self.polarity,
-            "vgs_max": self.vgs_max,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("device JSON"):
-            return cls(
-                i0=float(obj["i0"]),
-                k1=float(obj["k1"]),
-                k2=float(obj["k2"]),
-                dibl=float(obj["lambda"]),
-                n=float(obj.get("n", 1.5)),
-                vth_nominal=float(obj["vth_nominal"]),
-                polarity=str(obj.get("polarity", "nmos")).lower(),
-                vgs_max=float(obj.get("vgs_max", 0.7)),
-            )
 
 
 @dataclass(frozen=True)
@@ -187,6 +163,8 @@ def ids_proposed(params, op):
     return float(_current_proposed(params, op.vgs, op.vds, vt))
 
 
+# ids_classic and ids_transregional have no CLI caller; they stay as the
+# paper's baseline current models, which the proposed model is compared with.
 def ids_classic(params, op):
     """Classic exponential baseline: linear gate exponent, vt-scaled drain factor."""
     vt = thermal_voltage(op.temperature_c)
@@ -215,7 +193,3 @@ def load_device_table():
 def read_device_json(path):
     """Load one DeviceParams from a JSON file."""
     return DeviceParams.from_dict(read_json(path, "device JSON"))
-
-
-def write_device_json(params, path):
-    write_json(path, params.to_dict())

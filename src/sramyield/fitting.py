@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import Record
 from .devices import EXP_ARG_LIMIT, DeviceParams, _current_proposed, thermal_voltage
 from .errors import DomainError, ParseError
 
@@ -76,7 +77,7 @@ class FitOptions:
 
 
 @dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     params: DeviceParams
     max_rel_error_sat: float
     avg_rel_error_sat: float
@@ -84,16 +85,8 @@ class FitReport:
     converged: bool
     residual_norm: float
 
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "params": self.params.to_dict(),
-            "max_rel_error_sat": self.max_rel_error_sat,
-            "avg_rel_error_sat": self.avg_rel_error_sat,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_norm": self.residual_norm,
-        }
+    _JSON = {"schema": 1}
+    _WHAT = "fit report JSON"
 
 
 def read_iv_csv(path):
@@ -143,6 +136,8 @@ def read_iv_csv(path):
 
 
 def write_iv_csv(dataset, path, comment=None):
+    """The I-V CSV that read_iv_csv reads. No CLI command calls it; it stays to
+    write grids such as the bundled warped `nch_svt_iv.csv`."""
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -155,7 +150,9 @@ def write_iv_csv(dataset, path, comment=None):
 def mismatch_field(vgs, vds, amplitude):
     """Smooth multiplicative warp standing in for a richer physical reference.
 
-    Bounded by +-amplitude, slowly varying over the 0-0.7 V bias box.
+    Bounded by +-amplitude, slowly varying over the 0-0.7 V bias box. No CLI
+    command calls it; it stays because it made the bundled warped I-V grid
+    (`nch_svt_iv.csv`) that C08 fits, and regenerates it.
     """
     phase_g = 2.0 * np.pi * np.asarray(vgs) / 0.7
     phase_d = np.pi * np.asarray(vds) / 0.7

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .artifacts import csv_file, csv_text, parsing, write_csv
+from .artifacts import Record, csv_file, csv_text
 from .errors import DomainError, require_finite
 from .transients import (CellConfig, default_write_t_max, delta_v_closed, delta_v_ode,
                          write_time_closed, write_time_ode)
@@ -42,7 +42,7 @@ _CHUNK_LANES = 1 << 14
 
 
 @dataclass(frozen=True)
-class VariationSpec:
+class VariationSpec(Record):
     """Gaussian threshold variation plus sense-amp offset, with the RNG seed."""
 
     vth_n_mean: float
@@ -52,6 +52,9 @@ class VariationSpec:
     offset: OffsetVoltageDist
     seed: int
 
+    _JSON = {"schema": 1}
+    _WHAT = "variation JSON"
+
     def __post_init__(self):
         require_finite(self, ("vth_n_mean", "vth_n_sigma", "vth_p_mean", "vth_p_sigma"))
         if not self.vth_n_sigma > 0.0:
@@ -60,29 +63,6 @@ class VariationSpec:
             raise DomainError(f"vth_p_sigma must be > 0, got {self.vth_p_sigma}")
         if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "vth_n_mean": self.vth_n_mean,
-            "vth_n_sigma": self.vth_n_sigma,
-            "vth_p_mean": self.vth_p_mean,
-            "vth_p_sigma": self.vth_p_sigma,
-            "offset": self.offset.to_dict(),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("variation JSON"):
-            return cls(
-                vth_n_mean=float(obj["vth_n_mean"]),
-                vth_n_sigma=float(obj["vth_n_sigma"]),
-                vth_p_mean=float(obj["vth_p_mean"]),
-                vth_p_sigma=float(obj["vth_p_sigma"]),
-                offset=OffsetVoltageDist.from_dict(obj["offset"]),
-                seed=int(obj["seed"]),
-            )
 
 
 @dataclass(frozen=True)
@@ -98,8 +78,9 @@ class McResult:
         if self.failures > self.n:
             raise DomainError("failures cannot exceed n")
 
-    def to_dict(self, include_wall_time=True):
-        out = {
+    def to_dict(self):
+        """The reproducible payload: wall_time is left out."""
+        return {
             "schema": 1,
             "n": self.n,
             "failures": self.failures,
@@ -107,9 +88,6 @@ class McResult:
             "ci95": [self.ci95[0], self.ci95[1]],
             "samples_path": self.samples_path,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def wilson_ci(failures, n, confidence=0.95):
@@ -352,15 +330,11 @@ def run_mc(role, cell, var, n, constraints, mode="closed", threads=1):
 SAMPLES_CSV_HEADER = "i,vth_n,vth_p,v_os,metric,fail"
 
 
-def export_samples(out, vth_n, metric, fail, vth_p=None, v_os=None, start=0):
-    """One CSV row per sample, numbered from `start`; columns not drawn for
-    this mode stay empty.
-
-    `out` is a path, which gets a whole samples file (manifest line, header
-    and these rows), or the write function of a `csv_file` opened with
-    SAMPLES_CSV_HEADER, which gets these rows after those already written.
-    Every float is written as its repr, so the file reads back to the exact
-    sample values.
+def export_samples(write, vth_n, metric, fail, vth_p=None, v_os=None, start=0):
+    """One CSV row per sample, numbered from `start`, through the write
+    function of a `csv_file` opened with SAMPLES_CSV_HEADER; columns not drawn
+    for this mode stay empty. Every float is written as its repr, so the file
+    reads back to the exact sample values.
     """
     columns = [vth_n, vth_p, v_os, metric]
     fail = np.asarray(fail)
@@ -368,11 +342,8 @@ def export_samples(out, vth_n, metric, fail, vth_p=None, v_os=None, start=0):
         np.arange(start + part.start, start + part.stop),
         *(None if c is None else np.asarray(c[part], dtype=float) for c in columns),
         fail[part]])
-    if callable(out):
-        for chunk in text:
-            out(chunk)
-    else:
-        write_csv(out, SAMPLES_CSV_HEADER, text)
+    for chunk in text:
+        write(chunk)
 
 
 # -- characterization -------------------------------------------------------------

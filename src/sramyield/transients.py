@@ -36,7 +36,7 @@ from .devices import (
     gate_polynomial,
     thermal_voltage,
 )
-from .artifacts import bundled_json, parsing, read_json, write_json
+from .artifacts import Record, bundled_json, read_json
 from .errors import DomainError, ModelInapplicableError, require_finite
 
 TRIP_RATIO_BOUNDS = (0.40, 0.62)
@@ -105,7 +105,7 @@ def _libm_exp(x):
 
 
 @dataclass(frozen=True)
-class CellConfig:
+class CellConfig(Record):
     """Voltages, capacitances, and device constants of one 6T cell.
 
     `vwl` and `vddc` are the effective wordline and cell-supply voltages
@@ -125,6 +125,9 @@ class CellConfig:
     c_q: float = 1e-15
     v_trip: float | None = None
     temperature_c: float = 25.0
+
+    _JSON = {"schema": 1}
+    _WHAT = "cell JSON"
 
     def __post_init__(self):
         if self.v_trip is None:
@@ -210,43 +213,9 @@ class CellConfig:
             rules.append((w, *_drives(c, nodes)))
         return SimpleNamespace(r_crit=r_crit, cuts=cuts, c=c, rules=rules)
 
-    # -- serialization --------------------------------------------------------
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "vdd": self.vdd,
-            "vwl": self.vwl,
-            "vddc": self.vddc,
-            "c_blb": self.c_blb,
-            "c_q": self.c_q,
-            "v_trip": self.v_trip,
-            "temperature_c": self.temperature_c,
-            "nmos": self.nmos.to_dict(),
-            "pmos": self.pmos.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("cell JSON"):
-            return cls(
-                nmos=DeviceParams.from_dict(obj["nmos"]),
-                pmos=DeviceParams.from_dict(obj["pmos"]),
-                vdd=float(obj["vdd"]),
-                vwl=float(obj["vwl"]),
-                vddc=float(obj["vddc"]),
-                c_blb=float(obj.get("c_blb", 50e-15)),
-                c_q=float(obj.get("c_q", 1e-15)),
-                v_trip=float(obj["v_trip"]) if obj.get("v_trip") is not None else None,
-                temperature_c=float(obj.get("temperature_c", 25.0)),
-            )
-
 
 def read_cell_json(path):
     return CellConfig.from_dict(read_json(path, "cell JSON"))
-
-
-def write_cell_json(cell, path):
-    write_json(path, cell.to_dict())
 
 
 def load_default_cell():
@@ -365,27 +334,6 @@ def read_time_closed(cell, vth_n, dv):
         if np.any(linear):
             ramp = np.where(linear, dv, ramp)
         return c.c_blb / (nm.i0 * np.exp(p)) * ramp
-
-
-def delta_v_linearized(cell, vth_n, t_read, p0=None):
-    """Bitline differential with the second gate polynomial frozen at p0.
-
-    This is the approximation behind the chi-square statistics: the result is
-    affine in the sampled polynomial p, with an additive term that depends
-    only on t_read. Requires a nonzero DIBL coefficient.
-    """
-    nm = cell.nmos
-    vt = thermal_voltage(cell.temperature_c)
-    z = nm.dibl / (nm.n * vt)
-    if z == 0.0:
-        raise DomainError("linearized form requires a nonzero DIBL coefficient")
-    if p0 is None:
-        p0 = gate_polynomial(nm, cell.vwl, vt)
-    p = gate_polynomial(nm, cell.vwl, vt, np.asarray(vth_n, dtype=float))
-    alpha = z * nm.i0 / cell.c_blb
-    g = math.log(alpha * t_read + math.exp(-z * cell.vdd - p0)) / z + cell.vdd
-    out = p / z + g
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _gauss_integral(f, lo, hi):

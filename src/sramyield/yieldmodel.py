@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .artifacts import csv_text, parsing, read_json, write_csv, write_json
+from .artifacts import Record, csv_text, json_value, parsing, read_json, write_csv
 from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
 from .transients import CellConfig, _composite_rule, read_time_closed
 
@@ -52,37 +52,30 @@ def _check_moments(mu, sigma, what):
 
 
 @dataclass(frozen=True)
-class DeltaVDistribution:
+class DeltaVDistribution(Record):
     """Moments of sqrt(delta_v); delta_v in volts, moments in V**0.5."""
 
     mu_delta: float
     sigma_delta: float
 
+    _JSON = {"schema": 1, "kind": "access_delta"}
+    _WHAT = "delta distribution JSON"
+
     def __post_init__(self):
         require_finite(self, ("mu_delta", "sigma_delta"))
         _check_moments(self.mu_delta, self.sigma_delta, "DeltaVDistribution")
 
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "kind": "access_delta",
-            "mu_delta": self.mu_delta,
-            "sigma_delta": self.sigma_delta,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("delta distribution JSON"):
-            return cls(mu_delta=float(obj["mu_delta"]), sigma_delta=float(obj["sigma_delta"]))
-
 
 @dataclass(frozen=True)
-class WriteTimeDistribution:
+class WriteTimeDistribution(Record):
     """Moments of sqrt(ln(t/t0)); t0 is the reference time scale in seconds."""
 
     mu_w: float
     sigma_w: float
     t0: float = DEFAULT_T0
+
+    _JSON = {"schema": 1, "kind": "write_time"}
+    _WHAT = "write distribution JSON"
 
     def __post_init__(self):
         require_finite(self, ("mu_w", "sigma_w", "t0"))
@@ -90,31 +83,16 @@ class WriteTimeDistribution:
             raise DomainError(f"t0 must be > 0, got {self.t0}")
         _check_moments(self.mu_w, self.sigma_w, "WriteTimeDistribution")
 
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "kind": "write_time",
-            "mu_w": self.mu_w,
-            "sigma_w": self.sigma_w,
-            "t0": self.t0,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("write distribution JSON"):
-            return cls(
-                mu_w=float(obj["mu_w"]),
-                sigma_w=float(obj["sigma_w"]),
-                t0=float(obj.get("t0", DEFAULT_T0)),
-            )
-
 
 @dataclass(frozen=True)
-class OffsetVoltageDist:
+class OffsetVoltageDist(Record):
     """Normal sense-amp offset voltage in volts."""
 
     mu_vos: float
     sigma_vos: float
+
+    _JSON = {"schema": 1, "kind": "offset"}
+    _WHAT = "offset JSON"
 
     def __post_init__(self):
         require_finite(self, ("mu_vos", "sigma_vos"))
@@ -141,19 +119,6 @@ class OffsetVoltageDist:
         y, c = np.concatenate([y16, y32]), np.concatenate([c16, c32])
         density = np.exp(-((y * y - self.mu_vos) ** 2) / (2.0 * self.sigma_vos**2))
         return y, c * density * 2.0 * y / (self.sigma_vos * _SQRT_2PI), _BER_PANELS * 16
-
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "kind": "offset",
-            "mu_vos": self.mu_vos,
-            "sigma_vos": self.sigma_vos,
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        with parsing("offset JSON"):
-            return cls(mu_vos=float(obj["mu_vos"]), sigma_vos=float(obj["sigma_vos"]))
 
 
 # -- estimation -----------------------------------------------------------------
@@ -244,6 +209,8 @@ def pdf_write(dist, t):
     return float(out[0]) if scalar else out
 
 
+# access_fail_prob_fixed, delta_quantile and write_quantile have no CLI caller;
+# they stay as the closed CDF and quantiles that the C01/C02 gates check.
 def access_fail_prob_fixed(dist, v_os):
     """P(delta_v < v_os) for a fixed offset; zero branch for v_os <= 0."""
     scalar = np.ndim(v_os) == 0
@@ -426,6 +393,8 @@ class AccessCharacterization:
     mu_delta: tuple
     sigma_delta: tuple
 
+    _JSON = {"schema": 1, "kind": "access_characterization"}
+
     def __post_init__(self):
         t = np.asarray(self.t_read, dtype=float)
         mu = np.asarray(self.mu_delta, dtype=float)
@@ -463,8 +432,7 @@ class AccessCharacterization:
 
     def to_dict(self):
         return {
-            "schema": 1,
-            "kind": "access_characterization",
+            **self._JSON,
             "rows": [
                 {"t_read": t, "mu_delta": m, "sigma_delta": s}
                 for t, m, s in zip(self.t_read, self.mu_delta, self.sigma_delta)
@@ -476,9 +444,10 @@ class AccessCharacterization:
         with parsing("characterization JSON"):
             rows = obj["rows"]
             return cls(
-                t_read=tuple(float(r["t_read"]) for r in rows),
-                mu_delta=tuple(float(r["mu_delta"]) for r in rows),
-                sigma_delta=tuple(float(r["sigma_delta"]) for r in rows),
+                t_read=tuple(json_value(r["t_read"], float, "t_read") for r in rows),
+                mu_delta=tuple(json_value(r["mu_delta"], float, "mu_delta") for r in rows),
+                sigma_delta=tuple(json_value(r["sigma_delta"], float, "sigma_delta")
+                                  for r in rows),
             )
 
 
@@ -699,16 +668,8 @@ def write_qq_csv(points, corr, path):
 
 # -- JSON round trip ---------------------------------------------------------------
 
-_KINDS = {
-    "access_delta": DeltaVDistribution,
-    "write_time": WriteTimeDistribution,
-    "offset": OffsetVoltageDist,
-    "access_characterization": AccessCharacterization,
-}
-
-
-def write_distribution_json(obj, path):
-    write_json(path, obj.to_dict())
+_KINDS = {cls._JSON["kind"]: cls for cls in (DeltaVDistribution, WriteTimeDistribution,
+                                              OffsetVoltageDist, AccessCharacterization)}
 
 
 def read_distribution_json(path):

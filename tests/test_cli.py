@@ -23,7 +23,6 @@ from sramyield.errors import DomainError
 from sramyield.transients import delta_v_closed, read_cell_json, write_time_closed
 from sramyield.yieldmodel import (
     WriteTimeDistribution,
-    write_distribution_json,
     write_fail_prob,
 )
 
@@ -216,7 +215,8 @@ def _mutated(artifact, mutation, key, field, obj):
     art = copy.deepcopy(artifact)
     path, value = {"drop-key": (key, None), "string-in-float": (field, "abc"),
                    "nan": (field, math.nan), "int-for-object": (obj, 5),
-                   "top-level-list": ((), [art])}[mutation]
+                   "top-level-list": ((), [art]), "bool-in-float": (field, True),
+                   "numeric-string": (field, "0.5"), "float-seed": (("seed",), 160.5)}[mutation]
     if not path:
         return json.dumps(value)
     node = art
@@ -230,10 +230,8 @@ def _mutated(artifact, mutation, key, field, obj):
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("mutation", ["drop-key", "string-in-float", "int-for-object",
-                                          "top-level-list", "empty-file", "nan"])
-    @pytest.mark.parametrize("name", list(CONTRACT_INPUTS))
-    def test_malformed_json_input(self, tmp_path, capsys, name, mutation):
+    @staticmethod
+    def check_malformed(tmp_path, capsys, name, mutation):
         artifact, argv, key, field, obj = CONTRACT_INPUTS[name]
         path = tmp_path / f"{name}.json"
         path.write_text(_mutated(artifact, mutation, key, field, obj))
@@ -242,8 +240,20 @@ class TestInputContract:
         assert rc == (EXIT_DOMAIN if mutation == "nan" else EXIT_PARSE), err
         assert "Traceback" not in err
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("mutation", ["drop-key", "string-in-float", "int-for-object",
+                                          "top-level-list", "empty-file", "nan",
+                                          "bool-in-float", "numeric-string"])
+    @pytest.mark.parametrize("name", list(CONTRACT_INPUTS))
+    def test_malformed_json_input(self, tmp_path, capsys, name, mutation):
+        err = self.check_malformed(tmp_path, capsys, name, mutation)
         if mutation == "drop-key":
-            assert f"missing key '{key[-1]}'" in err
+            assert f"missing key '{CONTRACT_INPUTS[name][2][-1]}'" in err
+
+    def test_float_seed(self, tmp_path, capsys):
+        err = self.check_malformed(tmp_path, capsys, "variation", "float-seed")
+        assert "seed must be an integer, got 160.5" in err
 
     @pytest.mark.parametrize("flags, code", [
         (("--t-lo", "1e-10"), EXIT_PARSE),

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sramyield import DeviceParams, DomainError, OperatingPoint, ParseError
+from sramyield.artifacts import write_json
 from sramyield.devices import (
     EXP_ARG_LIMIT,
     _current_at_zero_overdrive,
@@ -26,7 +27,6 @@ from sramyield.devices import (
     load_device_table,
     read_device_json,
     thermal_voltage,
-    write_device_json,
 )
 
 VT_25C = 0.025692579121085846518  # k_B * 298.15 K / q, CODATA 2018
@@ -308,7 +308,7 @@ class TestSerialization:
     def test_json_round_trip_preserves_every_field(self, tmp_path, device_table):
         src = device_table["pch_hvt"]
         path = tmp_path / "dev.json"
-        write_device_json(src, path)
+        write_json(path, src.to_dict())
         back = read_device_json(path)
         assert back == src
 

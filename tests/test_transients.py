@@ -20,6 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, minimize_scalar
 
 from sramyield import transients
+from sramyield.artifacts import write_json
 from sramyield.cli import _sweep_cell
 from sramyield.devices import (
     EXP_ARG_LIMIT,
@@ -38,12 +39,10 @@ from sramyield.transients import (
     apply_assist,
     default_write_t_max,
     delta_v_closed,
-    delta_v_linearized,
     delta_v_ode,
     load_default_cell,
     read_cell_json,
     read_time_closed,
-    write_cell_json,
     write_time_closed,
     write_time_ode,
 )
@@ -128,7 +127,7 @@ class TestCellConfig:
 
     def test_json_file_round_trip(self, default_cell, tmp_path):
         path = tmp_path / "cell.json"
-        write_cell_json(default_cell, path)
+        write_json(path, default_cell.to_dict())
         assert read_cell_json(path).to_dict() == default_cell.to_dict()
 
     def test_missing_key_is_parse_error(self, default_cell, tmp_path):
@@ -334,29 +333,6 @@ class TestReadTimeClosed:
     def test_golden_default_cell(self, default_cell):
         t = read_time_closed(default_cell, default_cell.nmos.vth_nominal, DEFAULT_DV_CLOSED)
         assert t == pytest.approx(DEFAULT_T_READ, rel=1e-13, abs=0)
-
-
-class TestDeltaVLinearized:
-    def test_equals_closed_at_nominal(self, default_cell):
-        vth0 = default_cell.nmos.vth_nominal
-        lin = delta_v_linearized(default_cell, vth0, DEFAULT_T_READ)
-        assert lin == pytest.approx(DEFAULT_DV_CLOSED, rel=1e-12, abs=0)
-
-    def test_additive_term_is_sample_free(self, default_cell):
-        nm = default_cell.nmos
-        vt = thermal_voltage(default_cell.temperature_c)
-        z = nm.dibl / (nm.n * vt)
-        residuals = []
-        for vth in (0.30, 0.36, 0.42, 0.48):
-            p = gate_polynomial(nm, default_cell.vwl, vt, vth)
-            lin = delta_v_linearized(default_cell, vth, DEFAULT_T_READ)
-            residuals.append(lin - p / z)
-        assert np.ptp(residuals) < 1e-12
-
-    def test_requires_dibl(self, quiet_nmos):
-        cell = make_cell(dataclasses.replace(quiet_nmos, dibl=0.0))
-        with pytest.raises(DomainError, match="DIBL"):
-            delta_v_linearized(cell, 0.38, 1e-10)
 
 
 class TestDeltaVOde:

@@ -17,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from sramyield import transients, yieldmodel
+from sramyield.artifacts import write_json
 from sramyield.errors import DegenerateStatisticsError, DomainError, ParseError
 from sramyield.mc import characterize_access, wilson_ci
 from sramyield.transients import delta_v_closed
@@ -39,7 +40,6 @@ from sramyield.yieldmodel import (
     qq_points,
     read_distribution_json,
     relative_error,
-    write_distribution_json,
     write_fail_prob,
     write_quantile,
 )
@@ -859,7 +859,7 @@ class TestSerialization:
     )
     def test_json_round_trip(self, obj, tmp_path):
         path = tmp_path / "dist.json"
-        write_distribution_json(obj, path)
+        write_json(path, obj.to_dict())
         clone = read_distribution_json(path)
         assert type(clone) is type(obj)
         assert clone.to_dict() == obj.to_dict()
