@@ -54,10 +54,23 @@ def json_value(value, kind, what):
     """`value` of a JSON artifact as a `kind` (float, int, str or bool), or
     TypeError naming `what`. A float takes a JSON number, int or float, and
     an int a JSON integer; a bool is neither, though Python's bool is an int."""
+    return _value_reader(kind, what)(value)
+
+
+@functools.cache
+def _value_reader(kind, what):
+    """json_value(., kind, what) as a one-argument function."""
     types, name = _JSON_TYPES[kind]
-    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
-        raise TypeError(f"{what} must be {name}, got {value!r}")
-    return float(value) if kind is float else value
+    is_bool, to_float = kind is bool, kind is float
+
+    def read(value):
+        if type(value) is kind:
+            return value
+        if not isinstance(value, types) or isinstance(value, bool) != is_bool:
+            raise TypeError(f"{what} must be {name}, got {value!r}")
+        return float(value) if to_float else value
+
+    return read
 
 
 class Record:
@@ -76,7 +89,7 @@ class Record:
 
     def to_dict(self):
         out = dict(self._JSON)
-        for key, name, *_ in _fields(type(self)):
+        for key, name, _, _ in _fields(type(self)):
             value = getattr(self, name)
             out[key] = value.to_dict() if isinstance(value, Record) else value
         return out
@@ -88,34 +101,37 @@ class Record:
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             kwargs = {}
-            for key, name, kind, nullable, required in fields:
-                if key not in obj:
-                    if required:
-                        raise KeyError(key)
-                elif obj[key] is None and nullable:
-                    kwargs[name] = None
-                elif issubclass(kind, Record):
-                    kwargs[name] = kind.from_dict(obj[key])
-                else:
-                    kwargs[name] = json_value(obj[key], kind, key)
+            for key, name, read, required in fields:
+                if key in obj:
+                    kwargs[name] = read(obj[key])
+                elif required:
+                    raise KeyError(key)
             return cls(**kwargs)
 
 
 @functools.cache
 def _fields(cls):
-    """(key, name, kind, nullable, required) of each field of a Record class,
-    resolved once per class: the annotations are strings until then."""
+    """(key, name, read, required) of each field of a Record class, resolved
+    once per class (the annotations are strings until then): `read` turns the
+    key's JSON value into the field's value."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in dataclasses.fields(cls):
-        kind = hints[f.name]
+        key, kind = f.metadata.get("key", f.name), hints[f.name]
         args = typing.get_args(kind)
         nullable = type(None) in args
         if nullable:
             (kind,) = (a for a in args if a is not type(None))
+        read = kind.from_dict if issubclass(kind, Record) else _value_reader(kind, key)
+        if nullable:
+            read = functools.partial(_or_none, read)
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        out.append((f.metadata.get("key", f.name), f.name, kind, nullable, required))
+        out.append((key, f.name, read, required))
     return tuple(out)
+
+
+def _or_none(read, value):
+    return None if value is None else read(value)
 
 
 def read_json(path, what):

@@ -396,22 +396,21 @@ class AccessCharacterization:
     _JSON = {"schema": 1, "kind": "access_characterization"}
 
     def __post_init__(self):
-        t = np.asarray(self.t_read, dtype=float)
-        mu = np.asarray(self.mu_delta, dtype=float)
-        sg = np.asarray(self.sigma_delta, dtype=float)
+        names = ("t_read", "mu_delta", "sigma_delta")
+        t, mu, sg = (np.asarray(getattr(self, name), dtype=float) for name in names)
         if t.size < 1:
             raise DomainError("characterization needs at least 1 grid point")
         if t.size != mu.size or t.size != sg.size:
             raise DomainError("characterization columns must have equal length")
-        if not np.isfinite([t, mu, sg]).all():
+        table = np.array((t, mu, sg))
+        if not np.isfinite(table).all():
             raise DomainError("characterization values must be finite")
-        if np.any(np.diff(t) <= 0.0):
+        if not (t[1:] > t[:-1]).all():  # the values are finite: a step <= 0 is t[i+1] <= t[i]
             raise DomainError("t_read grid must be strictly increasing")
-        if np.any(~(sg > 0.0)) or np.any(~(mu > 0.0)):
+        if not (table[1:] > 0.0).all():
             raise DomainError("characterization moments must be positive")
-        object.__setattr__(self, "t_read", tuple(float(v) for v in t))
-        object.__setattr__(self, "mu_delta", tuple(float(v) for v in mu))
-        object.__setattr__(self, "sigma_delta", tuple(float(v) for v in sg))
+        for name, column in zip(names, table.tolist()):
+            object.__setattr__(self, name, tuple(column))
 
     @cached_property
     def _interp(self):

@@ -5,17 +5,22 @@ worst per-field relative error observed on the first run of the fixed-seed
 noisy round trip, rounded up one digit.
 """
 
+import contextlib
 import dataclasses
 import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
-from sramyield import DomainError, FitOptions, IVDataset, ParseError
+from sramyield import DomainError, FitOptions, IVDataset, ParseError, fitting
 from sramyield.devices import load_device_table, thermal_voltage
 from sramyield.fitting import (
     IV_CSV_HEADER,
+    _least_squares,
     default_init,
     error_stats,
     fit_device,
@@ -31,14 +36,21 @@ VGS_GRID = np.round(np.arange(0.0, 0.7001, 0.01), 10)
 VDS_GRID = np.round(np.arange(0.02, 0.7001, 0.02), 10)
 NOISY_RECOVERY_BOUND = 0.0062  # observed 6.154e-3 worst field at seed 7
 BUNDLED_IV = str(resources.files("sramyield.data").joinpath("nch_svt_iv.csv"))
-# Fit of the bundled CSV from default_init(vth_nominal=0.35), as first
-# recorded by the projected Gauss-Newton fitter this solver replaced; an
-# interior optimum must not move.
-BUNDLED_FIT = {
-    "i0": 2.29637642201639e-05,
-    "k1": 0.14165349469384197,
-    "k2": -0.0028746799766977502,
-    "dibl": -0.001389663645037127,
+# Fits of the bundled CSV from default_init(vth_nominal=0.35), without and
+# with the swing factor n: every float of fit.json and the evaluation count,
+# exactly, as scipy's least_squares first gave them, so that no change of
+# solver or library moves fit.json silently.
+BUNDLED_FITS = {
+    False: {"i0": 2.2963764219979356e-05, "k1": 0.14165349469583163,
+            "k2": -0.002874679976710075, "dibl": -0.0013896636446247414, "n": 1.5,
+            "max_rel_error_sat": 0.03353527253475888,
+            "avg_rel_error_sat": 0.012484545541686626,
+            "residual_norm": 0.7872363962176288, "iterations": 7},
+    True: {"i0": 2.2937380370053008e-05, "k1": 0.14185055326076737,
+           "k2": -0.002882739809701571, "dibl": -0.001325928096097241,
+           "n": 1.5021013273478607, "max_rel_error_sat": 0.03362821142340961,
+           "avg_rel_error_sat": 0.012481864349271107,
+           "residual_norm": 0.7872241732835872, "iterations": 11},
 }
 
 
@@ -258,10 +270,13 @@ class TestFitDevice:
 
     def test_bundled_csv_fit_is_pinned(self):
         data = read_iv_csv(BUNDLED_IV)
-        report = fit_device(data, init=default_init(data, vth_nominal=0.35))
-        assert report.converged
-        for field, want in BUNDLED_FIT.items():
-            assert getattr(report.params, field) == pytest.approx(want, rel=1e-8, abs=0), field
+        for fit_n, want in BUNDLED_FITS.items():
+            report = fit_device(data, init=default_init(data, vth_nominal=0.35),
+                                options=FitOptions(fit_n=fit_n))
+            assert report.converged
+            got = {k: getattr(report.params if hasattr(report.params, k) else report, k)
+                   for k in want}
+            assert got == want, fit_n
 
     def test_running_out_of_iterations_reports_not_converged(self, device_table):
         lvt = device_table["nch_lvt"]
@@ -314,3 +329,130 @@ class TestHelpers:
         out = model_currents(svt, data)
         assert out.shape == data.ids.shape
         assert np.allclose(out, data.ids, rtol=1e-12)
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rank_one(x):
+    return np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 3.0])
+
+
+def cliff(x):
+    # NaN beyond x0 = 3, where the best fit lies just short of it
+    with np.errstate(invalid="ignore"):
+        return np.array([np.sqrt(3.0 - x[0]) - 0.1, x[1] - 2.0, x[0] * x[1] - 5.0])
+
+
+def linear(x):
+    a = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [2.0, 0.1, -0.4], [1.0, 1.0, 1.0]])
+    return a @ x - np.array([5.0, -3.0, 4.0, 10.0])
+
+
+def corner(x):
+    a = np.array([[0.273, -0.982, -1.107], [0.2, -0.467, 0.236], [0.76, -1.649, 0.254]])
+    return a @ x - np.array([3.674, -0.893, -2.432])
+
+
+def decay(x):
+    t = np.linspace(0.0, 3.0, 12)
+    return x[0] * np.exp(-x[1] * t) + x[2] - (2.0 * np.exp(-1.3 * t) + 0.5 + 0.05 * np.sin(7 * t))
+
+
+class TestLeastSquaresPort:
+    """fitting._least_squares against scipy.optimize.least_squares: the same
+    x, residuals, evaluation count and status, bit for bit, and the same
+    residual evaluations in the same order."""
+
+    @staticmethod
+    def assert_same(fun, x0, lb, ub, max_nfev):
+        port_calls, ref_calls = [], []
+        port = _least_squares(lambda x: port_calls.append(x.copy()) or fun(x),
+                              np.array(x0, dtype=float), lb, ub, max_nfev)
+        ref = least_squares(lambda x: ref_calls.append(x.copy()) or fun(x),
+                            np.array(x0, dtype=float), bounds=(lb, ub), max_nfev=max_nfev)
+        assert np.array_equal(port[0], ref.x) and np.array_equal(port[1], ref.fun)
+        assert port[2:] == (ref.nfev, ref.status)
+        assert np.array_equal(port_calls, ref_calls)
+        return port
+
+    @pytest.fixture
+    def checked_fits(self, monkeypatch):
+        """Every solve that fit_device runs, checked against scipy; the list
+        collects the (nfev, status) of each."""
+        port, seen = fitting._least_squares, []
+
+        def checked(fun, x0, lb, ub, max_nfev):
+            seen.append(self.assert_same(fun, x0, lb, ub, max_nfev)[2:])
+            return port(fun, x0, lb, ub, max_nfev)
+
+        monkeypatch.setattr(fitting, "_least_squares", checked)
+        return seen
+
+    @pytest.mark.parametrize("vth", [0.35, 0.9, 0.2])
+    def test_bundled_csv_at_every_budget(self, checked_fits, vth):
+        data = read_iv_csv(BUNDLED_IV)
+        for fit_n in (False, True):
+            for budget in (1, 2, 3, 5, 500):
+                # a budget-limited fit may fail DeviceParams' checks after the solve
+                with contextlib.suppress(DomainError):
+                    fit_device(data, init=default_init(data, vth_nominal=vth),
+                               options=FitOptions(max_iterations=budget, fit_n=fit_n))
+        assert len(checked_fits) == 10
+        assert {status > 0 for _, status in checked_fits} == {False, True}
+
+    def test_device_table_flavours(self, checked_fits, device_table):
+        grids = [{}, {"noise_sigma": 0.01, "seed": 7}, {"mismatch_amplitude": 0.03}]
+        for i, params in enumerate(device_table.values()):
+            data = make_grid(params, **grids[i % 3])
+            for init in (perturbed_init(params), default_init(data, params.vth_nominal)):
+                fit_device(data, init=init, options=FitOptions(fit_n=i % 2 == 1))
+        assert len(checked_fits) == 12 and all(status > 0 for _, status in checked_fits)
+
+    @pytest.mark.parametrize("field, value", [("k2", 0.01), ("dibl", 0.3)])
+    def test_bound_active_truths(self, checked_fits, device_table, field, value):
+        truth = dataclasses.replace(device_table["nch_svt"], **{field: value})
+        data = make_grid(truth)
+        for fit_n in (False, True):
+            for init in (default_init(data, vth_nominal=truth.vth_nominal), truth):
+                fit_device(data, init=init, options=FitOptions(fit_n=fit_n))
+        assert len(checked_fits) == 4
+
+    @settings(max_examples=12, deadline=None)
+    @given(i0=st.floats(0.5, 1.5), k1=st.floats(1.0, 1.5), k2=st.floats(0.5, 1.5),
+           dibl=st.floats(0.5, 1.5), n=st.floats(1.0, 2.5), fit_n=st.booleans())
+    def test_perturbed_starts(self, device_table, i0, k1, k2, dibl, n, fit_n):
+        # scale factors of the true constants; k1 >= its true value keeps
+        # the start's current monotone in vgs
+        svt = device_table["nch_svt"]
+        data = make_grid(svt, mismatch_amplitude=0.03)
+        init = dataclasses.replace(svt, i0=svt.i0 * i0, k1=svt.k1 * k1, k2=svt.k2 * k2,
+                                   dibl=svt.dibl * dibl, n=n)
+        seen, port = [], fitting._least_squares
+        with pytest.MonkeyPatch.context() as mp, contextlib.suppress(DomainError):
+            mp.setattr(fitting, "_least_squares",
+                       lambda *args: seen.append(self.assert_same(*args)) or port(*args))
+            fit_device(data, init=init, options=FitOptions(fit_n=fit_n))
+        assert len(seen) == 1
+
+    INF = np.inf
+
+    @pytest.mark.parametrize("fun, x0, lb, ub", [
+        (rosenbrock, [2.0, 2.0], [-INF, 1.5], [INF, INF]),
+        (rosenbrock, [-2.0, 1.0], [-INF, -1.0], [INF, 3.0]),
+        (rosenbrock, [0.0, 0.0], [-1.0, -1.0], [0.5, 2.0]),  # starts at x = 0
+        (rosenbrock, [-1.5, 3.0], [-1.5, -2.0], [2.0, 3.0]),  # starts on bounds beyond +-1
+        (rank_one, [0.3, 0.2], [-INF, -5.0], [INF, INF]),  # rank-deficient Jacobian
+        (cliff, [0.0, 0.0], [-INF, -5.0], [10.0, 5.0]),  # steps into NaN
+        (linear, [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        (linear, [0.1, 0.9, 0.2], [0.0, -1.0, 0.0], [3.0, 1.0, 1.0]),
+        # from a corner of the box, where the scaled anti-gradient step wins
+        (corner, [-0.821, 0.564, -0.653], [-0.821, -INF, -0.653], [1.952, 0.564, 2.026]),
+        (decay, [1.0, 0.5, 0.0], [0.0, 0.0, -1.0], [1.5, 1.0, 0.3]),
+        (decay, [0.1, 2.5, 0.2], [0.0, 0.0, -1.0], [5.0, 3.0, 0.3]),
+        (decay, [0.0, 3.0, -1.0], [0.0, 0.0, -1.0], [5.0, 3.0, 0.3]),  # starts on bounds
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_synthetic_problems(self, fun, x0, lb, ub):
+        for budget in (1, 2, 3, 5, 10, 100):
+            self.assert_same(fun, x0, np.array(lb), np.array(ub), budget)

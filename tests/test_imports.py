@@ -7,9 +7,10 @@ as a plain name (an attribute access `np.exp` counts as a use of `np`).
 
 Importing scipy.optimize, .integrate, .interpolate or .constants costs more
 than a closed-model command itself, so at import time the package may load
-only scipy.special; the adaptive fallbacks and `fit` import the rest inside
-the function that needs it. scipy.optimize is for `fit` alone: no other
-module imports it, at any level, and the ODE oracles run without it.
+only scipy.special; the adaptive-quadrature fallbacks import scipy.integrate
+inside the function that needs it. No module imports scipy.optimize, at any
+level: `fit`, the ODE oracles and the closed-model commands run without it,
+and `fit` without scipy.linalg too.
 """
 
 import ast
@@ -95,9 +96,10 @@ def test_checker_flags_scipy_optimize_at_any_level():
     assert scipy_optimize_imports(source) == ["scipy.optimize", "scipy.optimize._optimize"]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(Path(sramyield.__file__).parent.glob("*.py"))
-                                  if p.name != "fitting.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(Path(sramyield.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_only_fitting_imports_scipy_optimize(path):
+    # named for the fit's former exemption: now no module, fitting.py included
     assert scipy_optimize_imports(path.read_text()) == []
 
 
@@ -153,6 +155,29 @@ def test_ode_commands_do_not_load_scipy_optimize(tmp_path):
                           env={"PYTHONPATH": src, "PATH": ""})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+FIT_COMMANDS = """
+import sys
+from sramyield.cli import main
+
+out, iv = sys.argv[1:]
+for argv in (["fit", "--iv", iv], ["fit", "--iv", iv, "--fit-n"],
+             ["fit", "--iv", iv, "--emit-iv", "iv_fit.csv"]):
+    assert main(["--out-dir", out, *argv]) == 0, argv
+print([name for name in ("scipy.optimize", "scipy.linalg") if name in sys.modules])
+"""
+
+
+def test_fit_loads_neither_scipy_optimize_nor_linalg(tmp_path):
+    src = Path(sramyield.__file__).parent
+    proc = subprocess.run([sys.executable, "-c", FIT_COMMANDS, str(tmp_path),
+                           str(src / "data" / "nch_svt_iv.csv")],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(src.parent), "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "iv_fit.csv").exists()
 
 
 LIGHT_START = """
