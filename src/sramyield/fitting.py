@@ -20,7 +20,7 @@ from numpy.linalg import norm
 
 from .artifacts import Record
 from .devices import EXP_ARG_LIMIT, DeviceParams, _current_proposed, thermal_voltage
-from .errors import DomainError, ParseError
+from .errors import DomainError, FitConvergenceError, ParseError
 
 IV_CSV_HEADER = ("vgs", "vds", "ids", "temp_c")
 
@@ -251,7 +251,8 @@ def fit_device(data, init, options=None):
 
     Returns a FitReport. `options.max_iterations` caps the residual
     evaluations, which `iterations` counts, and running out of them yields
-    converged=False rather than an exception.
+    converged=False rather than an exception, unless the last iterate is not
+    a valid DeviceParams: that raises FitConvergenceError.
     """
     options = options or FitOptions()
     if options.max_iterations < 1:
@@ -278,14 +279,22 @@ def fit_device(data, init, options=None):
     if not np.all(np.isfinite(residual(theta0))):
         raise DomainError("non-finite residual at the initial parameters")
     theta, fun, nfev, status = _least_squares(residual, theta0, lo, hi, options.max_iterations)
-    params = replace(
-        init,
-        i0=float(np.exp(theta[0])),
-        k1=float(theta[1]),
-        k2=float(theta[2]),
-        dibl=float(theta[3]),
-        n=float(theta[4]) if options.fit_n else init.n,
-    )
+    try:
+        params = replace(
+            init,
+            i0=float(np.exp(theta[0])),
+            k1=float(theta[1]),
+            k2=float(theta[2]),
+            dibl=float(theta[3]),
+            n=float(theta[4]) if options.fit_n else init.n,
+        )
+    except DomainError as exc:
+        if status > 0:
+            raise
+        # the bounds box admits constants DeviceParams rejects; a fit stopped
+        # by its budget there has not converged, whatever its iterate is
+        raise FitConvergenceError(f"fit did not converge in {nfev} residual evaluations, and "
+                                  f"its last iterate is not a valid device: {exc}") from None
     max_err, avg_err = error_stats(data, params)
     return FitReport(
         params=params,

@@ -123,13 +123,14 @@ class OffsetVoltageDist(Record):
 
 # -- estimation -----------------------------------------------------------------
 
-def _estimate(cls, samples, what, floor, floor_advice, root, **fields):
+def _estimate(cls, samples, what, floor, floor_advice, root, root_name, **fields):
     """`cls` of the mean and sample deviation of root(samples), every sample
-    above floor; a 2-D array gives a list, one per row.
+    above floor and every root finite; a 2-D array gives a list, one per row.
 
     Rows go in order: those before the first failing row are built (and warn
     as they would alone), then that row's error is raised. An inf sample is a
-    censored lane, which carries no moment information.
+    censored lane, which carries no moment information; a finite sample whose
+    root(sample), named `root_name`, overflows is a domain error.
     """
     rows = np.asarray(samples, dtype=float)
     if rows.ndim != 2:
@@ -140,7 +141,14 @@ def _estimate(cls, samples, what, floor, floor_advice, root, **fields):
         )
     invalid = ~((rows > floor) & (rows < np.inf)).all(axis=1)
     stop = int(np.argmax(invalid)) if invalid.any() else len(rows)
-    r = root(rows[:stop])
+    with np.errstate(over="ignore"):
+        r = root(rows[:stop])
+    finite = np.isfinite(r)
+    overflow = None
+    if not finite.all():
+        stop = int(np.argmax(~finite.all(axis=1)))
+        overflow = int(np.argmax(~finite[stop]))
+        r = r[:stop]
     mu, sigma = np.mean(r, axis=1), np.std(r, axis=1, ddof=1)
     # relative floor: identical inputs leave only mean-subtraction rounding
     flat = ~(sigma > mu * 1e-12)
@@ -148,6 +156,9 @@ def _estimate(cls, samples, what, floor, floor_advice, root, **fields):
     if flat.any():
         stop = int(np.argmax(flat))
         error = DegenerateStatisticsError(f"{what} samples have zero variance")
+    elif overflow is not None:
+        error = DomainError(f"{what} sample {overflow} = {float(rows[stop, overflow])!r} "
+                            f"overflows {root_name}")
     elif stop < len(rows):
         row = rows[stop]
         censored = np.flatnonzero(row == np.inf)
@@ -166,7 +177,7 @@ def _estimate(cls, samples, what, floor, floor_advice, root, **fields):
 def estimate_delta_params(samples):
     """Sample moments of sqrt(delta_v). All samples must be positive volts.
     A 2-D array gives a list of distributions, one per row."""
-    return _estimate(DeltaVDistribution, samples, "delta_v", 0.0, "zero", np.sqrt)
+    return _estimate(DeltaVDistribution, samples, "delta_v", 0.0, "zero", np.sqrt, "sqrt(delta_v)")
 
 
 def estimate_write_params(samples, t0=DEFAULT_T0):
@@ -176,7 +187,7 @@ def estimate_write_params(samples, t0=DEFAULT_T0):
         raise DomainError(f"t0 must be > 0, got {t0}")
     return _estimate(WriteTimeDistribution, samples, "write-time", t0,
                      f"t0 = {t0!r}; choose a smaller reference t0",
-                     lambda t: np.sqrt(np.log(t / t0)), t0=t0)
+                     lambda t: np.sqrt(np.log(t / t0)), f"sqrt(ln(t/t0)) at t0 = {t0!r}", t0=t0)
 
 
 # -- densities and failure probabilities -----------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramyield.artifacts import csv_file, csv_rows, write_csv
+from sramyield import artifacts
+from sramyield.artifacts import csv_file, csv_rows, csv_text, write_csv
 from sramyield.errors import ParseError
 
 
@@ -86,13 +87,46 @@ def test_any_bit_pattern_matches_repr(bits):
     assert float_bytes(values) == repr_bytes(values)
 
 
+# values repr formats in place of the vectorized path
+FALLBACKS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.2e-310, 1e300,
+             -1e300]
+FALLBACK_OR_ANY = st.one_of(st.sampled_from(FALLBACKS), st.floats())
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.floats(), st.booleans()),
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), FALLBACK_OR_ANY, FALLBACK_OR_ANY,
+                          FALLBACK_OR_ANY, st.booleans()),
                 min_size=1, max_size=30))
 def test_mixed_rows_match_the_reference_writer(rows):
-    index, values, flags = (np.array(c) for c in zip(*rows))
-    columns = [index, values.astype(np.float64), None, -values.astype(np.float64), flags]
+    # the float columns are formatted as one stacked array, and its repr
+    # fallbacks are indexed into that array: a fallback written into the
+    # wrong column or row shows only with several float columns
+    index, a, b, c, flags = (np.array(col) for col in zip(*rows))
+    columns = [index, a.astype(np.float64), None, b.astype(np.float64), flags, None,
+               c.astype(np.float64)]
     assert csv_rows(columns) == reference(columns)
+
+
+def test_fallbacks_stay_in_their_cell():
+    n = 3 * len(FALLBACKS)
+    floats = [np.full(n, 0.25), np.full(n, -1.5), np.full(n, 3e-7)]
+    for i, v in enumerate(FALLBACKS):  # row 3i + j of column j
+        for j in range(3):
+            floats[j][3 * i + j] = v
+    columns = [np.arange(n), floats[0], None, floats[1], np.arange(n) % 2 == 0, floats[2]]
+    assert csv_rows(columns) == reference(columns)
+
+
+def test_csv_text_chunks_share_one_buffer(monkeypatch):
+    # the integer column needs 1 word in the first chunk and 3 in the last
+    monkeypatch.setattr(artifacts, "_EXPORT_ROWS", 4)
+    index = np.array([0, 5, 9, 10, 10**7, 10**15, 2**62, 2**63 - 1, 3, 1])
+    x = np.linspace(-1.0, 1.0, len(index))
+    x[[2, 7]] = [np.nan, -0.0]
+    columns = [index, x, None, np.exp(x), index % 3 == 0]
+    text = "".join(csv_text(len(index), lambda part: [None if c is None else c[part]
+                                                      for c in columns]))
+    assert text.encode() == reference(columns)
 
 
 def test_integer_cells():

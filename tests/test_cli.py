@@ -89,6 +89,17 @@ class TestExitCodes:
         # the budget counts residual evaluations, not solver steps
         assert "did not converge in 1 residual evaluations" in capsys.readouterr().err
 
+    def test_fit_out_of_budget_at_an_invalid_iterate(self, tmp_path, capsys):
+        # the last iterate breaks DeviceParams' monotonicity check; the fit is
+        # reported as not converged (exit 3), not as a domain error (exit 5)
+        rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--vth", "0.2",
+                     "--max-iterations", "2")
+        err = capsys.readouterr().err
+        assert rc == EXIT_FIT, err
+        assert "did not converge in 2 residual evaluations" in err
+        assert "current not monotone in vgs" in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_fit_needs_an_iteration(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "fit", "--iv", BUNDLED_IV, "--max-iterations", "0")
         assert rc == EXIT_DOMAIN
@@ -182,6 +193,18 @@ class TestExitCodes:
         assert rc == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert f"{device} drain-bias factor" in err and "lambda = 100000.0" in err
+
+    def test_overflowing_write_time(self, tmp_path, capsys):
+        cell = bundled("default_cell.json")
+        cell["c_q"] = 1e300  # finite write times, but t/t0 overflows
+        cell_json = tmp_path / "cell.json"
+        cell_json.write_text(json.dumps(cell))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(tmp_path, "characterize", "--mode", "write", "--cell", str(cell_json))
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        assert "overflows sqrt(ln(t/t0))" in err and "zero variance" not in err
 
 # JSON inputs of the CLI: (artifact, command reading it, a required key, a
 # float field, an object field; each a key path, () meaning the top level).
@@ -653,7 +676,7 @@ class TestSweep:
     def test_rows_match_points_swept_alone(self, tmp_path, monkeypatch, chunk_lanes, axis,
                                            mode, values):
         if chunk_lanes is not None:  # one cell per chunk
-            monkeypatch.setattr(mc, "_CHUNK_LANES", chunk_lanes)
+            monkeypatch.setattr(mc, "_BLOCK", chunk_lanes)
         flags = ["--axis", axis, "--mode", mode, "--char-n", "100"]
         assert run_cli(tmp_path / "all", "sweep", *flags, "--values", values) == 0
         _, rows = csv_rows(tmp_path / "all" / "sweep.csv")

@@ -274,7 +274,9 @@ class TestRunWriteMc:
 class TestStream:
     """Every pass walks fixed _BLOCK-sized blocks, drawn once each."""
 
-    @pytest.mark.parametrize("n", [mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 3])
+    # edges of the fourth and eighth block
+    @pytest.mark.parametrize("n", [4 * mc._BLOCK - 1, 4 * mc._BLOCK, 4 * mc._BLOCK + 1,
+                                   8 * mc._BLOCK + 3])
     @pytest.mark.parametrize("role", ["access", "write"])
     def test_export_across_block_edges(self, default_cell, tmp_path, role, n):
         exports = []
@@ -313,6 +315,26 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # whole 1e6-lane columns alone take 8 MB each
+
+    # traced peaks of the pass alone, with its tables and cell properties
+    # built: 2.2 and 1.2 MB with 16384-sample blocks and 2048-row export
+    # chunks; 65536-sample blocks and 8192-row chunks peak at 5.3 and 4.6 MB
+    @pytest.mark.parametrize("case, bound_mb", [("export", 2.6), ("three-read-times", 1.5)])
+    def test_pass_memory_is_pinned(self, default_cell, tmp_path, case, bound_mb):
+        def run():
+            if case == "export":
+                run_access_mc(default_cell, VAR, 200_000, T_READ, export_path=tmp_path / "s.csv")
+            else:
+                run_mc("access", default_cell, VAR, 10**6, [0.95 * T_READ, T_READ, 1.05 * T_READ])
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("role,constraints,mode,match", [
         ("access", [T_READ, math.nan], "closed", "t_read must be finite"),
@@ -432,7 +454,7 @@ class TestStreamedExport:
                           export_path=tmp_path / "missing" / "x.csv")
 
     # sha256 of samples.csv from the export that formatted the whole pass in
-    # one call after the last block
+    # one call after the last block, at n = 131075
     PINNED = {
         "access": "07ce3ebad59c623d8f6c8e3b90f141c98ed030831fb029e56c28af1b4ecf5b8f",
         "write": "e7487d3697f022847825188c9e05f07d6a455165e800c708224425184598370f",
@@ -441,7 +463,7 @@ class TestStreamedExport:
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_export_bytes_are_pinned(self, default_cell, tmp_path, case):
-        n = 2 * mc._BLOCK + 3
+        n = 131075
         path = tmp_path / "s.csv"
         if case == "access":
             run_access_mc(default_cell, VAR, n, T_READ, export_path=path)
@@ -505,8 +527,9 @@ class TestExport:
                 export_samples(write, vth_n=np.array([0.38]), metric=np.array([0.1]),
                                fail=np.array([False]))
 
-    @pytest.mark.parametrize("n", [artifacts._EXPORT_ROWS - 1, artifacts._EXPORT_ROWS, artifacts._EXPORT_ROWS + 1,
-                                   2 * artifacts._EXPORT_ROWS + 3])
+    # edges of the fourth and eighth chunk
+    @pytest.mark.parametrize("n", [4 * artifacts._EXPORT_ROWS - 1, 4 * artifacts._EXPORT_ROWS,
+                                   4 * artifacts._EXPORT_ROWS + 1, 8 * artifacts._EXPORT_ROWS + 3])
     @pytest.mark.parametrize("other", ["vth_p", "v_os"])
     def test_export_across_chunk_edges(self, tmp_path, n, other):
         rng = np.random.default_rng(n)
@@ -559,7 +582,7 @@ class TestCellSequences:
             characterize_write([default_cell], VAR, n=64, mode="ode")
 
     def test_chunks_hold_at_most_the_lane_budget(self, monkeypatch):
-        monkeypatch.setattr(mc, "_CHUNK_LANES", 100)
+        monkeypatch.setattr(mc, "_BLOCK", 100)
         items = list(range(10))
         assert mc.cell_chunks(items, 30) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
         assert mc.cell_chunks(items, 500) == [[i] for i in items]

@@ -117,6 +117,15 @@ class TestEstimators:
         with pytest.raises(DomainError, match="smaller reference t0"):
             estimate_write_params(samples, t0=1e-12)
 
+    def test_overflowing_write_sample_names_it(self, recwarn):
+        rows = 5e-12 * (1.0 + 0.05 * np.random.default_rng(7).random((3, 40)))
+        rows[1, 9] = 1e300  # t/t0 overflows
+        rows[2, 4] = 0.0  # a later failing row
+        with pytest.raises(DomainError, match=r"^write-time sample 9 = 1e\+300 overflows "
+                                              r"sqrt\(ln\(t/t0\)\) at t0 = 1e-12$"):
+            estimate_write_params(rows, t0=1e-12)
+        assert not recwarn.list
+
     def test_write_t0_must_be_positive(self):
         with pytest.raises(DomainError, match="t0"):
             estimate_write_params([5e-12] * 40, t0=0.0)
