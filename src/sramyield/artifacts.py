@@ -10,15 +10,17 @@ characterization table's rows). Input files are read with `read_json` and
 built under `parsing`, which turns malformed content into ParseError (CLI
 exit 2) while the constructors' own domain checks pass through unchanged.
 Outputs go through `write_json` and `csv_file` (or `write_csv`, its one-call
-form), so every CSV starts with the same manifest line. `csv_rows` renders
-numeric columns as CSV text in bulk, each float as its `repr`, and
-`csv_text` feeds it a table in chunks of rows.
+form), so every CSV starts with the same manifest line, and each writer
+hashes its bytes with SHA-256 as it writes them, so a file need not be read
+back for its digest. `csv_rows` renders numeric columns as CSV text in bulk,
+each float as its `repr`, and `csv_text` feeds it a table in chunks of rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import typing
@@ -153,9 +155,12 @@ def bundled_json(name):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write `obj` as indented JSON and return the SHA-256 hex digest of the
+    bytes written."""
+    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _cannot_write(path, exc):
@@ -163,9 +168,10 @@ def _cannot_write(path, exc):
 
 
 @contextmanager
-def csv_file(path, header):
+def csv_file(path, header, digest=None):
     """Open `path` for a CSV, write the manifest line and `header`, and yield
-    write(text) for the rest, text ending in a newline.
+    write(text) for the rest, text (bytes or str) ending in a newline. Every
+    byte written is fed to `digest`, a hashlib object, if one is given.
 
     Only an OSError of opening, writing or closing the file becomes
     ParseError; whatever the body raises keeps its type. If anything fails,
@@ -173,15 +179,18 @@ def csv_file(path, header):
     as /dev/null) before the error propagates.
     """
     try:
-        fh = open(path, "w")
+        fh = open(path, "wb")
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 
     def write(text):
+        data = text.encode() if isinstance(text, str) else text
         try:
-            fh.write(text)
+            fh.write(data)
         except OSError as exc:
             raise _cannot_write(path, exc) from exc
+        if digest is not None:
+            digest.update(data)
 
     try:
         write(MANIFEST_LINE + header + "\n")
@@ -200,10 +209,13 @@ def csv_file(path, header):
 
 
 def write_csv(path, header, lines):
-    """Manifest line, header, then `lines`, each already ending in a newline."""
-    with csv_file(path, header) as write:
+    """Manifest line, header, then `lines`, each already ending in a newline;
+    returns the SHA-256 hex digest of the bytes written."""
+    digest = hashlib.sha256()
+    with csv_file(path, header, digest) as write:
         for line in lines:
             write(line)
+    return digest.hexdigest()
 
 
 # -- CSV text of numeric columns -----------------------------------------------------
@@ -225,9 +237,11 @@ def write_csv(path, header, lines):
 # A cell is a run of little-endian uint64 words whose bytes are the cell's
 # text in order, interleaved with NUL bytes. A chunk of rows is its cells side
 # by side, and dropping every NUL byte leaves the CSV text. A float cell is 32
-# bytes: a free byte for the separator, the sign and any "0.000" at 1-6, the
-# integer digits from byte 7, the dot, the fraction digits up to byte 24 and
-# the exponent at 25-29.
+# bytes: the integer digits from byte 7, the dot, the fraction digits up to
+# byte 24 and the exponent at 25-29, with the separator, the sign and any
+# "0.000" just before the first digit (ending at byte 6, or at byte 7 where
+# "0.000" holds the dot). Dropping the NUL bytes costs about one copy per run
+# of text, so a cell keeps its text in as few runs as it can.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _TOL = 1e-6  # margin around a tie or a read-back boundary, in units of p's last digit
@@ -267,6 +281,9 @@ def _text_tables():
         hi.append(h)
         lo.append((num * b - a * den) / (den * b))
     t["pow_hi"], t["pow_lo"], t["pow_k0"] = np.array(hi), np.array(lo), ks[0]
+    s = _SPLIT * t["pow_hi"]  # Dekker's split of each hi, for _scaled
+    t["pow_hi_big"] = s - (s - t["pow_hi"])
+    t["pow_hi_small"] = t["pow_hi"] - t["pow_hi_big"]
     quads = [b"%04d" % i for i in range(10000)]  # 4-digit ASCII groups
     t["quad_lo"] = _words(quads)  # at bytes 0-3 of a word
     t["quad_hi"] = _words(b"\0\0\0\0" + q for q in quads)  # at bytes 4-7
@@ -277,7 +294,8 @@ def _text_tables():
     t["whole"] = np.array([max(e + 1, 0) if f else 1 for e, f in zip(es, fixed)])
     t["min_end"] = np.array([e + 2 if f and e >= 0 else 0 for e, f in zip(es, fixed)])
     lead = [b"0." + b"0" * (-e - 1) if f and e < 0 else b"" for e, f in zip(es, fixed)]
-    t["prefix"] = _words(b"\0" + sign + z for z in lead for sign in (b"", b"-"))
+    t["prefix"] = _words((sep + sign + z).rjust(_DIGIT0 + bool(z), b"\0")
+                         for z in lead for sep in (b"", b",") for sign in (b"", b"-"))
     t["exponent"] = _words(b"\0" if f else b"\0e%+03d" % e for e, f in zip(es, fixed))
     # with digit i at byte 7 + i: digits [0, whole) of the integer part, and
     # (shifted one byte on) the dot and digits [whole, end) of the fraction
@@ -291,6 +309,7 @@ def _text_tables():
     t["pow10"] = 10 ** np.arange(1, 19, dtype=np.int64)
     t["comma"], t["newline"] = _words([b",", b"\n"])
     t["bool"] = _words([b"\x000", b"\x001"])
+    t["bool_end"] = _words([b"\x000\n", b"\x001\n"])  # a bool that ends its row
     return t
 
 
@@ -299,9 +318,7 @@ def _scaled(ax, e, t):
     from the double-double product ax * (hi + lo)."""
     k = 16 - e - t["pow_k0"]
     hi, lo = t["pow_hi"][k], t["pow_lo"][k]
-    s = _SPLIT * hi
-    hi_big = s - (s - hi)
-    hi_small = hi - hi_big
+    hi_big, hi_small = t["pow_hi_big"][k], t["pow_hi_small"][k]
     p = ax * hi
     s = _SPLIT * ax
     a_big = s - (s - ax)
@@ -351,8 +368,8 @@ def _shortest_digits(ax, t):
     return d, e, undecided
 
 
-def _float_cells(x):
-    """(len(x), 4) words holding repr(x[i]) after a free first byte."""
+def _float_cells(x, bare=0):
+    """(len(x), 4) words holding repr(x[i]), after a ',' for i >= bare."""
     t = _text_tables()
     d, e, undecided = _shortest_digits(np.abs(x), t)
     lead = d // 10**16
@@ -373,16 +390,18 @@ def _float_cells(x):
     frac = whole * 18 + np.maximum(17 - zeros, t["min_end"][ie])
     int_mask, frac_mask, dot = t["int_mask"], t["frac_mask"], t["dot"]
     out = np.empty((len(x), 4), dtype=_WORD)
-    out[:, 0] = t["prefix"][2 * ie + (x < 0)] | (text[0] & int_mask[0][whole])
+    prefix = 4 * ie + (x < 0)
+    prefix[bare:] += 2  # with the separator
+    out[:, 0] = t["prefix"][prefix] | (text[0] & int_mask[0][whole])
     for j in (1, 2):
         out[:, j] = (text[j] & int_mask[j][whole]) | (shifted[j] & frac_mask[j][frac]) | dot[j][frac]
     out[:, 3] = (shifted[3] & frac_mask[3][frac]) | t["exponent"][ie]
     if undecided.any():
         raw = out.view(np.uint8)
         for i in np.flatnonzero(undecided).tolist():
-            text_i = repr(float(x[i])).encode()
+            text_i = (b"\0" if i < bare else b",") + repr(float(x[i])).encode()
             raw[i] = 0
-            raw[i, 1:1 + len(text_i)] = np.frombuffer(text_i, dtype=np.uint8)
+            raw[i, :len(text_i)] = np.frombuffer(text_i, dtype=np.uint8)
     return out
 
 
@@ -427,36 +446,41 @@ def csv_rows(columns, out=None):
     n = len(next(c for c in columns if c is not None))
     if n == 0:
         return b""
-    floats = [c for c in columns if c is not None and c.dtype.kind == "f"]
-    if floats:
-        float_cells = _float_cells(np.concatenate(floats, dtype=np.float64))
+    kinds = [None if c is None else c.dtype.kind for c in columns]
+    floats = [c for c, kind in zip(columns, kinds) if kind == "f"]
+    if floats:  # a float cell holds its own separator, unless it is the row's first
+        float_cells = _float_cells(np.concatenate(floats, dtype=np.float64),
+                                   bare=n if kinds[0] == "f" else 0)
     cells, k = [], 0
-    for c in columns:
+    for j, (c, kind) in enumerate(zip(columns, kinds)):
         if c is None:
             cells.append(None)
-        elif c.dtype.kind == "f":
+        elif kind == "f":
             cells.append(float_cells[k * n:(k + 1) * n])
             k += 1
-        elif c.dtype == bool:
-            cells.append(t["bool"][c.view(np.uint8)][:, None])
+        elif kind == "b":
+            table = t["bool_end"] if j == len(columns) - 1 else t["bool"]
+            cells.append(table[c.view(np.uint8)][:, None])
         else:
             cells.append(_int_cells(c.astype(np.int64, copy=False)))
     widths = [1 if c is None else c.shape[1] for c in cells]
-    size = n * (1 + sum(widths))
+    newline = kinds[-1] != "b"  # a row's own word for "\n", unless its bool ends it
+    size = n * (sum(widths) + newline)
     rows = (np.empty(size, dtype=_WORD) if out is None else out[:size]).reshape(n, -1)
     at = 0
-    for j, (c, w) in enumerate(zip(cells, widths)):
+    for j, (c, w, kind) in enumerate(zip(cells, widths, kinds)):
         rows[:, at:at + w] = 0 if c is None else c
-        if j:
+        if j and kind != "f":
             rows[:, at] |= t["comma"]
         at += w
-    rows[:, at] = t["newline"]
+    if newline:
+        rows[:, at] = t["newline"]
     raw = rows.view(np.uint8).reshape(-1)
     return raw[raw.view(bool)].tobytes()
 
 
 def csv_text(n, columns_of):
-    """CSV text of an n-row table, _EXPORT_ROWS rows at a time, for write_csv:
+    """CSV bytes of an n-row table, _EXPORT_ROWS rows at a time, for write_csv:
     columns_of(part) gives the csv_rows columns of the rows in slice `part`.
     Every chunk is laid out in one word buffer, allocated at the first."""
     out = None
@@ -464,4 +488,4 @@ def csv_text(n, columns_of):
         columns = columns_of(slice(s, min(s + _EXPORT_ROWS, n)))
         if out is None:
             out = np.empty(min(n, _EXPORT_ROWS) * _row_words(columns), dtype=_WORD)
-        yield csv_rows(columns, out).decode("ascii")
+        yield csv_rows(columns, out)

@@ -131,7 +131,11 @@ def _normalized_command(argv):
 
 
 class Run:
-    """Collects inputs/outputs of one command and writes the manifest."""
+    """Collects inputs/outputs of one command and writes the manifest.
+
+    Inputs are hashed when they are noted; an output's digest is the SHA-256
+    its writer took of the bytes as it wrote them, so no output is read back.
+    """
 
     def __init__(self, args, log):
         self.args = args
@@ -140,6 +144,7 @@ class Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs = {}
         self.outputs = {}
+        self.digests = {}  # output name -> SHA-256 of the bytes written
         self.seed = None
         # every output name a command can take, checked before it does any work
         for name in (getattr(args, flag, None) for flag in ("out", "export", "emit_iv")):
@@ -162,12 +167,19 @@ class Run:
     def out_path(self, name):
         return self.outputs[name]
 
+    def wrote(self, name, sha256):
+        """Record the digest of output `name`, written by its own writer."""
+        self.digests[name] = sha256
+
     def write_json(self, name, obj):
-        write_json(self.out_path(name), obj)
+        self.wrote(name, write_json(self.out_path(name), obj))
+
+    def write_csv(self, name, header, lines):
+        self.wrote(name, write_csv(self.out_path(name), header, lines))
 
     def finish(self):
         argv = list(self.args._argv)
-        out_digests = {name: _sha256_file(p) for name, p in self.outputs.items()}
+        out_digests = {name: self.digests[name] for name in self.outputs}
         stable = {
             "command": _normalized_command(argv),
             "seed": self.seed,
@@ -240,8 +252,8 @@ def cmd_fit(args, run, log):
     if args.emit_iv is not None:
         fitted = model_currents(report.params, data)
         columns = [np.asarray(c, dtype=float) for c in (data.vgs, data.vds, data.ids, fitted)]
-        write_csv(run.out_path(args.emit_iv), "vgs,vds,ids_data,ids_model",
-                  csv_text(len(fitted), lambda part: [c[part] for c in columns]))
+        run.write_csv(args.emit_iv, "vgs,vds,ids_data,ids_model",
+                      csv_text(len(fitted), lambda part: [c[part] for c in columns]))
     print(
         f"fit converged in {report.iterations} residual evaluations: "
         f"max_rel_error_sat={report.max_rel_error_sat:.4f} "
@@ -311,8 +323,8 @@ def cmd_yield(args, run, log):
         else:
             pfs = dist.ber_at(constraints, offset).tolist()
         rows.extend(zip(constraints, pfs))
-    write_csv(run.out_path(args.out), "constraint,pf_analytical,pf_mc,mc_lo,mc_hi",
-              (f"{t!r},{pf!r},,,\n" for t, pf in rows))
+    run.write_csv(args.out, "constraint,pf_analytical,pf_mc,mc_lo,mc_hi",
+                  (f"{t!r},{pf!r},,,\n" for t, pf in rows))
     for t, pf in rows:
         print(f"constraint {t!r} s -> pf {pf!r}")
 
@@ -356,11 +368,10 @@ def cmd_compare(args, run, log):
         if rel is None:
             log.warning("zero-failure MC row; relative error omitted", constraint=t)
         rows.append((t, pf_a, r, rel))
-    write_csv(run.out_path(args.out),
-              "constraint,pf_analytical,pf_mc,mc_lo,mc_hi,rel_error,oracle",
-              (f"{t!r},{pf_a!r},{r.pf!r},{r.ci95[0]!r},{r.ci95[1]!r},"
-               f"{'' if rel is None else repr(float(rel))},{args.oracle}\n"
-               for t, pf_a, r, rel in rows))
+    run.write_csv(args.out, "constraint,pf_analytical,pf_mc,mc_lo,mc_hi,rel_error,oracle",
+                  (f"{t!r},{pf_a!r},{r.pf!r},{r.ci95[0]!r},{r.ci95[1]!r},"
+                   f"{'' if rel is None else repr(float(rel))},{args.oracle}\n"
+                   for t, pf_a, r, rel in rows))
     for t, pf_a, r, _ in rows:
         print(f"constraint {t!r}: analytical {pf_a!r} mc {r.pf!r} ci {r.ci95[0]!r}..{r.ci95[1]!r}")
 
@@ -404,8 +415,8 @@ def cmd_sweep(args, run, log):
                 raise DomainError(f"sweep point {args.axis}={v!r} failed: {exc}") from exc
         raise
     t_ref = times[0]
-    write_csv(run.out_path(args.out), "axis,value,t_at_target,normalized",
-              (f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n" for v, t in zip(values, times)))
+    run.write_csv(args.out, "axis,value,t_at_target,normalized",
+                  (f"{args.axis},{v!r},{t!r},{t / t_ref!r}\n" for v, t in zip(values, times)))
     for v, t in zip(values, times):
         print(f"{args.axis}={v!r}: t@pf={args.target!r} is {t!r} s ({t / t_ref!r} of first)")
 
@@ -428,7 +439,7 @@ def cmd_qq(args, run, log):
         tail = "high" if args.tail_percent < 100.0 else None
     points, corr = qq_points(metric, dist, tail=tail,
                              tail_fraction=args.tail_percent / 100.0)
-    write_qq_csv(points, corr, run.out_path(args.out))
+    run.wrote(args.out, write_qq_csv(points, corr, run.out_path(args.out)))
     print(f"qq {args.mode}: n={len(points)} pearson_r={corr!r}")
 
 
@@ -448,6 +459,7 @@ def cmd_mc(args, run, log):
     payload = r.to_dict()
     if export is not None:
         payload["samples_path"] = export.name
+        run.wrote(args.export, r.samples_sha256)
     payload["manifest"] = "manifest.json"
     run.write_json(args.out, payload)
     log.info("mc done", wall_time=round(r.wall_time, 4))

@@ -15,6 +15,7 @@ samples can be exported as CSV for the distribution estimators.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from collections import deque
@@ -74,13 +75,14 @@ class McResult:
     ci95: tuple
     samples_path: str | None
     wall_time: float
+    samples_sha256: str | None = None  # of the export's bytes, as they were written
 
     def __post_init__(self):
         if self.failures > self.n:
             raise DomainError("failures cannot exceed n")
 
     def to_dict(self):
-        """The reproducible payload: wall_time is left out."""
+        """The reproducible payload: wall_time and the export digest are left out."""
         return {
             "schema": 1,
             "n": self.n,
@@ -123,11 +125,20 @@ def _block_uniforms(seed, role, start, count):
     return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
-def _draw(var, role, start, count, other_mean, other_sigma):
-    """(vth_n, other) arrays of one role's stream, block-indexed."""
+def _draw(var, role, start, count, other_mean, other_sigma, other=True):
+    """(vth_n, other) arrays of one role's stream, block-indexed; with `other`
+    false the second column is not transformed and None takes its place."""
     u = _block_uniforms(var.seed, role, start, count)
-    vth_n = var.vth_n_mean + var.vth_n_sigma * ndtri(u[:, 0])
-    return vth_n, other_mean + other_sigma * ndtri(u[:, 1])
+    return (_normal(u[:, 0], var.vth_n_mean, var.vth_n_sigma),
+            _normal(u[:, 1], other_mean, other_sigma) if other else None)
+
+
+def _normal(u, mean, sigma):
+    """mean + sigma * ndtri(u), scaled and shifted in place (the same bits)."""
+    x = ndtri(u)
+    x *= sigma
+    x += mean
+    return x
 
 
 def draw_access_samples(var, start, count):
@@ -135,9 +146,10 @@ def draw_access_samples(var, start, count):
     return _draw(var, _ROLE_ACCESS, start, count, var.offset.mu_vos, var.offset.sigma_vos)
 
 
-def draw_write_samples(var, start, count):
-    """(vth_n, vth_p) arrays for the write stream, block-indexed."""
-    return _draw(var, _ROLE_WRITE, start, count, var.vth_p_mean, var.vth_p_sigma)
+def draw_write_samples(var, start, count, with_vth_p=True):
+    """(vth_n, vth_p) arrays for the write stream, block-indexed; vth_p is
+    None, and not computed, if not `with_vth_p`."""
+    return _draw(var, _ROLE_WRITE, start, count, var.vth_p_mean, var.vth_p_sigma, with_vth_p)
 
 
 def _stream(fn, n, threads):
@@ -192,8 +204,9 @@ def _draw_role(role, var, start, count):
 
 
 def _oracle(role, cell, mode, vth_n, other, t):
-    """delta_v at read time t (access) or the write time censored at t_max = t
-    (None picks the default horizon)."""
+    """delta_v at read time t (access; a column of read times gives one row
+    per time) or the write time censored at t_max = t (None picks the default
+    horizon)."""
     if role == _ROLE_ACCESS:
         metric = (delta_v_closed if mode == "closed" else delta_v_ode)(cell, vth_n, t)
     elif mode == "closed":
@@ -256,10 +269,13 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
     """One timed pass over n samples; one McResult per constraint.
 
     Every constraint is checked, and an export file (one constraint) opened,
-    before the first draw. Access evaluates dv once per read time on each
-    block, write evaluates the write time once. Each block is scored, its
-    rows exported, and dropped before the next block is taken; wall_time
-    covers the export. If a block fails, the partial export is removed.
+    before the first draw. Each block computes only what its counts and its
+    export read: access evaluates dv for all read times in one oracle call,
+    which shares the gate term of each lane; write evaluates the write time
+    once, and a closed write pass transforms vth_p only to export it. Each
+    block is scored, its rows exported, and dropped before the next block is
+    taken; wall_time covers the export, whose SHA-256 the results carry. If
+    a block fails, the partial export is removed.
     """
     what = "t_read" if role == _ROLE_ACCESS else "t_write"
     for c in constraints:
@@ -273,23 +289,28 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
                 raise DomainError(f"t_write {c!r} exceeds the censoring horizon t_max {t_max!r}")
     _check_pass(n, mode, cell)
 
-    other_column = "v_os" if role == _ROLE_ACCESS else "vth_p"
+    times = np.array(constraints, dtype=float)[:, None]  # one row per constraint
+    with_vth_p = export_path is not None or mode == "ode"
 
     def block(start, count):
-        vth_n, other = _draw_role(role, var, start, count)
         if role == _ROLE_ACCESS:
-            metrics = [_oracle(role, cell, mode, vth_n, other, t) for t in constraints]
-            fails = [(other > 0.0) & (dv < other) for dv in metrics]
+            vth_n, other = draw_access_samples(var, start, count)
+            metrics = _oracle(role, cell, mode, vth_n, other, times)
+            fails = metrics < other
+            fails &= other > 0.0
+            columns = {"vth_n": vth_n, "v_os": other, "metric": metrics[0]}
         else:
-            metrics = [_oracle(role, cell, mode, vth_n, other, t_max)]
-            fails = [metrics[0] > t for t in constraints]
-        counts = [int(np.count_nonzero(f)) for f in fails]
-        return start, counts, {"vth_n": vth_n, other_column: other, "metric": metrics[0],
-                               "fail": fails[0]}
+            vth_n, other = draw_write_samples(var, start, count, with_vth_p=with_vth_p)
+            metric = _oracle(role, cell, mode, vth_n, other, t_max)
+            fails = metric > times
+            columns = {"vth_n": vth_n, "vth_p": other, "metric": metric}
+        return start, np.count_nonzero(fails, axis=1).tolist(), {**columns, "fail": fails[0]}
 
     totals = [0] * len(constraints)
+    digest = None if export_path is None else hashlib.sha256()
     started = time.perf_counter()
-    export = nullcontext() if export_path is None else csv_file(export_path, SAMPLES_CSV_HEADER)
+    export = nullcontext() if export_path is None else csv_file(export_path, SAMPLES_CSV_HEADER,
+                                                                digest)
     with export as write, closing(_stream(block, n, threads)) as blocks:
         for start, counts, rows in blocks:
             totals = [a + b for a, b in zip(totals, counts)]
@@ -297,9 +318,9 @@ def _run_mc(role, cell, var, n, constraints, mode, threads, t_max, export_path=N
                 export_samples(write, start=start, **rows)
             del rows  # drop this block before the next one is drawn
     wall = time.perf_counter() - started
-    path = str(export_path) if export_path is not None else None
+    path, sha256 = (None, None) if export_path is None else (str(export_path), digest.hexdigest())
     return [McResult(n=n, failures=f, pf=f / n, ci95=wilson_ci(f, n, 0.95),
-                     samples_path=path, wall_time=wall)
+                     samples_path=path, wall_time=wall, samples_sha256=sha256)
             for f in totals]
 
 

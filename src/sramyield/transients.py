@@ -295,25 +295,41 @@ def delta_v_closed(cell, vth_n, t_read):
     Solves the discharge balance exactly with the per-sample gate polynomial,
     dropping only the near-unity drain factor of the access transistor. The
     zero-DIBL case is the continuous limit (a linear ramp clamped at vdd).
-    Accepts scalar or array vth_n / t_read, and one cell or a sequence.
+    Accepts scalar or array vth_n / t_read, and one cell or a sequence; the
+    gate term is computed once per lane, so a column of read times against a
+    row of lanes pays for it once. The steps after it run in place, in the
+    order of ((i0*exp(p))*t)/c_blb, so the bits are those of the plain
+    expression.
     """
-    vth_n = np.asarray(vth_n, dtype=float)
     t = np.asarray(t_read, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t_read must be >= 0")
     c = _columns(cell)
     nm = c.nmos
-    p = np.clip(gate_polynomial(nm, c.vwl, c.vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    ramp = nm.i0 * np.exp(p) * t / c.c_blb  # discharge without the DIBL factor
+    p = np.asarray(np.clip(gate_polynomial(nm, c.vwl, c.vt, np.asarray(vth_n, dtype=float)),
+                           -EXP_ARG_LIMIT, EXP_ARG_LIMIT))
+    drive = np.exp(p, out=p)  # i0*exp(p), in p's storage
+    drive *= nm.i0
+    ramp = np.asarray(drive * t)  # discharge without the DIBL factor
+    ramp /= c.c_blb
     z = nm.dibl / (nm.n * c.vt)
     linear = z == 0.0
+    any_linear = np.any(linear)
     z = np.where(linear, 1.0, z)  # zero DIBL takes the ramp itself, below
-    arg = z * ramp * _libm_exp(z * c.vdd)
+    arg = ramp.copy() if any_linear else ramp
+    arg *= z
+    arg *= _libm_exp(z * c.vdd)
     drained = arg <= -1.0
-    dv = np.where(drained, c.vdd, np.log1p(np.where(drained, 0.0, arg)) / z)
-    if np.any(linear):
+    any_drained = drained.any()
+    if any_drained:
+        arg[drained] = 0.0
+    dv = np.log1p(arg, out=arg)
+    dv /= z
+    if any_drained:
+        np.copyto(dv, c.vdd, where=drained)
+    if any_linear:
         dv = np.where(linear, ramp, dv)
-    dv = np.clip(dv, 0.0, c.vdd)
+    np.clip(dv, 0.0, c.vdd, out=dv)
     return float(dv) if dv.ndim == 0 else dv
 
 
@@ -395,7 +411,8 @@ def delta_v_ode(cell, vth_n, t_read):
         chunk = tau[i:i + _READ_CHUNK]
         k = np.minimum(np.searchsorted(table, chunk, side="right") - 1, _READ_PANELS - 1)
         hi, lo = edges[k], edges[k + 1]
-        s = hi - (chunk - table[k]) / (table[k + 1] - table[k]) * (hi - lo)
+        # a lane past the table would start below its panel, at a negative bias
+        s = np.clip(hi - (chunk - table[k]) / (table[k + 1] - table[k]) * (hi - lo), lo, hi)
         for _ in range(_NEWTON_STEPS):
             residual = table[k] + _gauss_integral(inv_drive, s, hi) - chunk
             s = np.clip(s + residual / inv_drive(s), lo, hi)

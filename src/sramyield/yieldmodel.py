@@ -671,9 +671,10 @@ def qq_points(samples, dist, tail=None, tail_fraction=0.01):
 
 
 def write_qq_csv(points, corr, path):
+    """The Q-Q table as CSV; returns the SHA-256 hex digest of its bytes."""
     points = np.asarray(points, dtype=float)
-    write_csv(path, f"# pearson_r: {corr!r}\ntheoretical,empirical",
-              csv_text(len(points), lambda part: [points[part, 0], points[part, 1]]))
+    return write_csv(path, f"# pearson_r: {corr!r}\ntheoretical,empirical",
+                     csv_text(len(points), lambda part: [points[part, 0], points[part, 1]]))
 
 
 # -- JSON round trip ---------------------------------------------------------------

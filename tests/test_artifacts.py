@@ -124,9 +124,9 @@ def test_csv_text_chunks_share_one_buffer(monkeypatch):
     x = np.linspace(-1.0, 1.0, len(index))
     x[[2, 7]] = [np.nan, -0.0]
     columns = [index, x, None, np.exp(x), index % 3 == 0]
-    text = "".join(csv_text(len(index), lambda part: [None if c is None else c[part]
-                                                      for c in columns]))
-    assert text.encode() == reference(columns)
+    text = b"".join(csv_text(len(index), lambda part: [None if c is None else c[part]
+                                                       for c in columns]))
+    assert text == reference(columns)
 
 
 def test_integer_cells():
@@ -135,6 +135,16 @@ def test_integer_cells():
     assert csv_rows([np.array([True, False])]) == b"1\n0\n"
     with pytest.raises(ValueError, match="non-negative"):
         csv_rows([np.array([3, -1])])
+
+
+def test_separators_and_row_ends():
+    # a float cell carries its own separator unless it starts the row, and a
+    # bool that ends the row carries the newline
+    x = np.array([0.25, -3.0, 1e-300, float("nan")])
+    flags = np.array([True, False, True, False])
+    for columns in ([x, x, flags], [flags, x, None, flags], [x, None, -x, flags, flags],
+                    [flags], [x], [np.arange(4), flags, x]):
+        assert csv_rows(columns) == reference(columns)
 
 
 def test_empty_columns_and_rows():

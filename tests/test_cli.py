@@ -194,6 +194,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{device} drain-bias factor" in err and "lambda = 100000.0" in err
 
+    @pytest.mark.parametrize("path, value", [(("c_blb",), 1e-300), (("nmos", "i0"), 1e300),
+                                             (("nmos", "k1"), 1e5)])
+    def test_saturated_ode_read_is_quiet(self, tmp_path, path, value):
+        # every lane's scaled read time lies past the discharge table
+        cell = bundled("default_cell.json")
+        node = cell
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cell_json = tmp_path / "cell.json"
+        cell_json.write_text(json.dumps(cell))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(tmp_path / "out", "mc", "--oracle", "ode", "--mode", "access",
+                         "--n", "300", "--t-read", "1.2e-10", "--export", "samples.csv",
+                         "--cell", str(cell_json))
+        assert rc == 0
+
     def test_overflowing_write_time(self, tmp_path, capsys):
         cell = bundled("default_cell.json")
         cell["c_q"] = 1e300  # finite write times, but t/t0 overflows
@@ -906,6 +924,36 @@ class TestReproducibility:
             assert actual == digest
         assert m["argv"][0] == "--out-dir"  # full argv kept for the record
         assert m["tool"].startswith("sramyield ")
+
+    @pytest.mark.parametrize("argv, names", [
+        (("mc", "--mode", "access", "--n", "3000", "--t-read", "1.2e-10", "--export",
+          "samples.csv"), ["mc.json", "samples.csv"]),
+        (("mc", "--mode", "write", "--n", "3000", "--t-write", "2e-11", "--export",
+          "samples.csv"), ["mc.json", "samples.csv"]),
+        (("compare", "--mode", "write", "--constraints", "1.3e-11,2.2e-11", "--n", "5000",
+          "--char-n", "400"), ["compare.csv"]),
+        (("sweep", "--axis", "vwl", "--values", "0.65,0.55", "--mode", "access",
+          "--char-n", "100", "--grid-points", "5"), ["sweep.csv"]),
+        (("qq", "--mode", "write", "--n", "2000"), ["qq.csv"]),
+        (("fit", "--iv", BUNDLED_IV, "--vth", "0.35", "--emit-iv", "curves.csv"),
+         ["curves.csv", "fit.json"]),
+    ], ids=["mc-access", "mc-write", "compare", "sweep", "qq", "fit"])
+    def test_output_digests_are_taken_as_written(self, tmp_path, monkeypatch, argv, names):
+        import hashlib
+
+        from sramyield import cli
+
+        hashed = []
+        sha256_file = cli._sha256_file
+        monkeypatch.setattr(cli, "_sha256_file",
+                            lambda path: hashed.append(str(path)) or sha256_file(path))
+        out = tmp_path / "out"
+        assert run_cli(out, *argv) == 0
+        outputs = read_manifest(out)["outputs"]
+        assert sorted(outputs) == names
+        for name, digest in outputs.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert not [p for p in hashed if p.startswith(str(out))]  # no output is read back
 
     def test_different_seed_changes_outputs(self, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"

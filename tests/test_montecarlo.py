@@ -381,6 +381,81 @@ class TestStream:
         blocks.close()
 
 
+class TestLeanBlocks:
+    """A closed block computes only what its counts and its export read, with
+    the bits of the plain per-read-time pass."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [mc._BLOCK - 1, 2 * mc._BLOCK + 3])
+    @pytest.mark.parametrize("times", [
+        [T_READ],
+        [0.95 * T_READ, 0.0, 1.05 * T_READ],
+        [0.9 * T_READ, T_READ, 0.0, 1.1 * T_READ, 1.2 * T_READ],
+    ], ids=["1", "3", "5"])
+    def test_access_read_times_share_one_oracle_call(self, default_cell, monkeypatch, times,
+                                                     n, threads):
+        blocks = []
+        oracle = mc.delta_v_closed
+
+        def spy(cell, vth_n, t):
+            dv = oracle(cell, vth_n, t)
+            blocks.append((vth_n, np.asarray(t), dv))
+            return dv
+
+        monkeypatch.setattr(mc, "delta_v_closed", spy)
+        results = run_mc("access", default_cell, VAR, n, times, threads=threads)
+        monkeypatch.undo()
+        assert sorted(len(vth_n) for vth_n, _, _ in blocks) == sorted(
+            min(mc._BLOCK, n - s) for s in range(0, n, mc._BLOCK))
+        for vth_n, t, dv in blocks:
+            assert t.ravel().tolist() == times and dv.shape == (len(times), len(vth_n))
+            for row, t_read in zip(dv, times):
+                assert row.tobytes() == delta_v_closed(default_cell, vth_n, t_read).tobytes()
+        assert [r.failures for r in results] == [
+            run_access_mc(default_cell, VAR, n, t, threads=threads).failures for t in times]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [mc._BLOCK - 1, 2 * mc._BLOCK + 3])
+    def test_write_counts_match_an_exporting_pass(self, default_cell, tmp_path, n, threads):
+        constraints = [1.5e-11, 2e-11, 3e-11]
+        results = run_mc("write", default_cell, VAR, n, constraints, threads=threads)
+        for t, r in zip(constraints, results):
+            exported = run_write_mc(default_cell, VAR, n, t, threads=threads,
+                                    export_path=tmp_path / "s.csv")
+            assert r.failures == exported.failures
+
+    def test_write_draw_can_skip_vth_p(self):
+        vth_n, vth_p = draw_write_samples(VAR, 5, 100)
+        lean_n, none = draw_write_samples(VAR, 5, 100, with_vth_p=False)
+        assert none is None and lean_n.tobytes() == vth_n.tobytes()
+
+    # normal transforms per sample: a closed write pass needs vth_p only for
+    # its export; access always scores v_os; the ODE write oracle reads vth_p
+    @pytest.mark.parametrize("case, per_sample", [
+        ("closed-access", 2), ("closed-write", 1), ("closed-write-export", 2), ("ode-write", 2)])
+    def test_transforms_per_sample_are_pinned(self, default_cell, tmp_path, monkeypatch, case,
+                                              per_sample):
+        transformed = []
+        ndtri = mc.ndtri
+
+        def counting(u, *args, **kwargs):
+            if np.ndim(u):  # wilson_ci's scalar quantile is not a sample
+                transformed.append(np.size(u))
+            return ndtri(u, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "ndtri", counting)
+        n = 300 if case == "ode-write" else 2 * mc._BLOCK + 3
+        if case == "closed-access":
+            run_mc("access", default_cell, VAR, n, [0.95 * T_READ, T_READ, 1.05 * T_READ])
+        elif case == "closed-write":
+            run_mc("write", default_cell, VAR, n, [1.5e-11, 2e-11])
+        elif case == "closed-write-export":
+            run_write_mc(default_cell, VAR, n, 2e-11, export_path=tmp_path / "s.csv")
+        else:
+            run_write_mc(default_cell, VAR, n, 2e-11, mode="ode")
+        assert sum(transformed) == per_sample * n
+
+
 class TestStreamedExport:
     """An export is written block by block as the pass goes."""
 

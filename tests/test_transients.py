@@ -305,6 +305,38 @@ class TestDeltaVClosed:
         assert dv[0] == 0.0
         assert np.all(np.diff(dv) > 0.0)
 
+    @staticmethod
+    def plain(cell, vth_n, t):
+        """The closed form with one allocating numpy expression per step."""
+        nm = cell.nmos
+        vt = thermal_voltage(cell.temperature_c)
+        p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+        ramp = nm.i0 * np.exp(p) * t / cell.c_blb
+        z = nm.dibl / (nm.n * vt)
+        if z == 0.0:
+            return np.clip(ramp, 0.0, cell.vdd)
+        arg = z * ramp * math.exp(z * cell.vdd)
+        drained = arg <= -1.0
+        dv = np.where(drained, cell.vdd, np.log1p(np.where(drained, 0.0, arg)) / z)
+        return np.clip(dv, 0.0, cell.vdd)
+
+    # the bundled cell, zero DIBL (the linear ramp) and negative DIBL, whose
+    # long read times drain the bitline (arg <= -1)
+    @pytest.mark.parametrize("dibl", [None, 0.0, -0.2])
+    def test_in_place_steps_keep_the_plain_bits(self, default_cell, default_variation, dibl):
+        cell = default_cell if dibl is None else dataclasses.replace(
+            default_cell, nmos=dataclasses.replace(default_cell.nmos, dibl=dibl))
+        vth_n, _ = draw_access_samples(default_variation, 0, 5000)
+        t = np.array([0.0, 0.5, 1.0, 3.0, 1e3])[:, None] * DEFAULT_T_READ
+        dv = delta_v_closed(cell, vth_n, t)
+        assert dv.shape == (5, 5000)
+        assert dv.tobytes() == self.plain(cell, vth_n, t).tobytes()
+        if dibl is not None and dibl < 0.0:
+            assert np.count_nonzero(dv[-1] == cell.vdd) > 0
+        # a column of read times gives the rows of one call per read time
+        for row, t_read in zip(dv, t[:, 0].tolist()):
+            assert row.tobytes() == delta_v_closed(cell, vth_n, t_read).tobytes()
+
 
 class TestReadTimeClosed:
     @pytest.mark.parametrize("dibl", [0.02, 0.0, -0.02])
@@ -371,6 +403,14 @@ class TestDeltaVOde:
 
     def test_full_discharge_returns_vdd(self, default_cell):
         assert delta_v_ode(default_cell, 0.30, 1e-7) == default_cell.vdd
+
+    def test_lanes_past_the_table_are_quiet(self, default_cell):
+        # their scaled time lies past F's last edge: Newton starts inside the
+        # last panel, not at a negative bias where expm1 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dv = delta_v_ode(default_cell, np.array([0.30, 0.38, 0.46]), 1e100)
+        assert dv.tolist() == [default_cell.vdd] * 3
 
     def test_strictly_decreasing_in_vth(self, default_cell):
         grid = np.linspace(0.30, 0.46, 100)
