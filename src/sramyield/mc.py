@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,8 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._ufuncs import ndtri
 from .artifacts import Record, csv_file, csv_text
 from .errors import DomainError, require_finite
 from .transients import (CellConfig, default_write_t_max, delta_v_closed, delta_v_ode,
@@ -41,6 +42,7 @@ _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; the generator can emit exactly 0.0
 # a many-cell pass: a 1e6-sample closed access pass at three read times
 # traces a peak of 1.2 MB with it, 4.6 MB with 2**16-sample blocks
 _BLOCK = 1 << 14
+_PHILOX = threading.local()  # one generator per thread, reset for every block
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,19 @@ def _block_uniforms(seed, role, start, count):
 
     A Philox-4x64 block yields four doubles; sample i owns block i, so draws
     are independent of how the index range is partitioned across threads.
+    Each thread keeps one generator and resets it to (seed, role, start):
+    the state of a fresh Philox(key=(seed, role)) advanced by start.
     """
-    bg = np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
-    bg.advance(start)
-    u = np.random.Generator(bg).random((count, 4))
+    gen = getattr(_PHILOX, "gen", None)
+    if gen is None:  # Philox(0), not Philox(key=...): no SeedSequence from os.urandom
+        gen = _PHILOX.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed, role], dtype=np.uint64)}}
+    gen.bit_generator.advance(start)
+    u = gen.random((count, 4))
     return np.maximum(u, _MIN_UNIFORM, out=u)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._ufuncs import ndtr, ndtri
 from .artifacts import Record, csv_text, json_value, parsing, read_json, write_csv
 from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
 from .transients import CellConfig, _composite_rule, read_time_closed

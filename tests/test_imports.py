@@ -7,10 +7,15 @@ as a plain name (an attribute access `np.exp` counts as a use of `np`).
 
 Importing scipy.optimize, .integrate, .interpolate or .constants costs more
 than a closed-model command itself, so at import time the package may load
-only scipy.special; the adaptive-quadrature fallbacks import scipy.integrate
-inside the function that needs it. No module imports scipy.optimize, at any
-level: `fit`, the ODE oracles and the closed-model commands run without it,
-and `fit` without scipy.linalg too.
+only the bare `scipy` package and scipy.special's modules; the
+adaptive-quadrature fallbacks import scipy.integrate inside the function
+that needs it. The scipy.special package itself (its `__init__` loads
+scipy's array-API layer) is not loaded either: `sramyield._ufuncs` imports
+only its compiled `_ufuncs` module, and subprocess checks below pin that
+`ndtr` and `ndtri` are the package's own ufuncs in either import order, and
+after a fallback loads the package mid-run. No module imports
+scipy.optimize, at any level: `fit`, the ODE oracles and the closed-model
+commands run without it, and `fit` without scipy.linalg too.
 """
 
 import ast
@@ -21,9 +26,22 @@ from pathlib import Path
 import pytest
 
 import sramyield
+from sramyield import yieldmodel
+from sramyield.yieldmodel import OffsetVoltageDist
 
 MODULES = sorted(p for p in Path(sramyield.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+SRC = Path(sramyield.__file__).parent.parent
+
+
+def fresh(script, *args, flags=()):
+    """The last line a fresh interpreter prints running `script`, which must
+    exit 0."""
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(SRC), "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def unused_imports(source):
@@ -49,8 +67,9 @@ def test_module_uses_every_import(path):
 
 
 def heavy_scipy_imports(source):
-    """scipy modules other than scipy.special that the module imports outside
-    function bodies, that is, when it is itself imported."""
+    """scipy modules other than the bare package and scipy.special's that the
+    module imports outside function bodies, that is, when it is itself
+    imported."""
     found, todo = [], [ast.parse(source)]
     while todo:
         node = todo.pop()
@@ -61,14 +80,14 @@ def heavy_scipy_imports(source):
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             todo.extend(ast.iter_child_nodes(node))
     return sorted(name for name in found if name.partition(".")[0] == "scipy"
-                  and not f"{name}.".startswith("scipy.special."))
+                  and name != "scipy" and not f"{name}.".startswith("scipy.special."))
 
 
 def test_checker_flags_a_heavy_scipy_import():
-    source = ("import scipy.optimize, scipy.special\nfrom scipy.special import ndtr\n"
-              "from scipy import integrate\n"
+    source = ("import scipy, scipy.optimize, scipy.special\nfrom scipy.special import ndtr\n"
+              "from scipy import integrate, special\nimport scipy._lib\n"
               "def f():\n    from scipy.optimize import brentq\n")
-    assert heavy_scipy_imports(source) == ["scipy.integrate", "scipy.optimize"]
+    assert heavy_scipy_imports(source) == ["scipy._lib", "scipy.integrate", "scipy.optimize"]
 
 
 @pytest.mark.parametrize("path", sorted(Path(sramyield.__file__).parent.glob("*.py")),
@@ -116,18 +135,14 @@ for argv in (
     ["compare", "--mode", "write", "--constraints", "2e-11", "--n", "2000", "--char-n", "200"],
 ):
     assert main(["--out-dir", out, *argv]) == 0, argv
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.constants")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.constants",
+         "scipy._lib._array_api", "scipy.special._basic")
 print([name for name in heavy if name in sys.modules])
 """
 
 
 def test_closed_model_commands_load_only_scipy_special(tmp_path):
-    src = str(Path(sramyield.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", CLOSED_COMMANDS, str(tmp_path)],
-                          capture_output=True, text=True, timeout=300,
-                          env={"PYTHONPATH": src, "PATH": ""})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert fresh(CLOSED_COMMANDS, tmp_path) == "[]"
 
 
 ODE_COMMANDS = """
@@ -143,18 +158,14 @@ for argv in (
      "--n", "200", "--char-n", "200"],
 ):
     assert main(["--out-dir", out, *argv]) == 0, argv
-heavy = ("scipy.optimize", "scipy.interpolate", "scipy.constants")
+heavy = ("scipy.optimize", "scipy.interpolate", "scipy.constants", "scipy._lib._array_api",
+         "scipy.special._basic")
 print([name for name in heavy if name in sys.modules])
 """
 
 
 def test_ode_commands_do_not_load_scipy_optimize(tmp_path):
-    src = str(Path(sramyield.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", ODE_COMMANDS, str(tmp_path)],
-                          capture_output=True, text=True, timeout=300,
-                          env={"PYTHONPATH": src, "PATH": ""})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert fresh(ODE_COMMANDS, tmp_path) == "[]"
 
 
 FIT_COMMANDS = """
@@ -165,18 +176,14 @@ out, iv = sys.argv[1:]
 for argv in (["fit", "--iv", iv], ["fit", "--iv", iv, "--fit-n"],
              ["fit", "--iv", iv, "--emit-iv", "iv_fit.csv"]):
     assert main(["--out-dir", out, *argv]) == 0, argv
-print([name for name in ("scipy.optimize", "scipy.linalg") if name in sys.modules])
+heavy = ("scipy.optimize", "scipy.linalg", "scipy._lib._array_api", "scipy.special._basic")
+print([name for name in heavy if name in sys.modules])
 """
 
 
 def test_fit_loads_neither_scipy_optimize_nor_linalg(tmp_path):
-    src = Path(sramyield.__file__).parent
-    proc = subprocess.run([sys.executable, "-c", FIT_COMMANDS, str(tmp_path),
-                           str(src / "data" / "nch_svt_iv.csv")],
-                          capture_output=True, text=True, timeout=300,
-                          env={"PYTHONPATH": str(src.parent), "PATH": ""})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    iv = Path(sramyield.__file__).parent / "data" / "nch_svt_iv.csv"
+    assert fresh(FIT_COMMANDS, tmp_path, iv) == "[]"
     assert (tmp_path / "iv_fit.csv").exists()
 
 
@@ -191,8 +198,64 @@ print([name for name in ("fractions", "decimal") if name in sys.modules],
 
 
 def test_start_up_loads_no_exact_arithmetic_and_builds_no_text_tables():
-    src = str(Path(sramyield.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", LIGHT_START], capture_output=True, text=True,
-                          timeout=300, env={"PYTHONPATH": src, "PATH": ""})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] 0"
+    assert fresh(LIGHT_START) == "[] 0"
+
+
+# pytest's own process has loaded the whole scipy.special package (the
+# IntegrationWarning filter in pyproject.toml imports scipy.integrate), so
+# the loader's stub path runs only in fresh processes like these.
+UFUNCS_ONLY = """
+import sys
+import scipy
+import sramyield.cli
+
+print([name for name in ("scipy.special", "scipy._lib._array_api", "scipy.special._basic")
+       if name in sys.modules], "special" in vars(scipy), "scipy.special._ufuncs" in sys.modules)
+"""
+
+
+def test_start_up_loads_the_ufuncs_not_the_scipy_special_package():
+    assert fresh(UFUNCS_ONLY) == "[] False True"
+
+
+SAME_UFUNCS = """
+import sys
+from sramyield import mc, yieldmodel
+import scipy.special
+
+print(mc.ndtri is scipy.special.ndtri, yieldmodel.ndtr is scipy.special.ndtr,
+      yieldmodel.ndtri is scipy.special.ndtri, sys.modules["scipy.special"] is scipy.special,
+      hasattr(scipy.special, "gamma"))
+"""
+
+
+@pytest.mark.parametrize("first", ["loader", "scipy.special"])
+def test_ufuncs_are_scipy_specials_in_either_import_order(first):
+    script = SAME_UFUNCS
+    if first == "scipy.special":
+        script = "import scipy.special\n" + script
+    assert fresh(script) == "True True True True True"
+
+
+QUAD_AFTER_LOADER = """
+import sys
+import sramyield.cli
+from sramyield import mc, yieldmodel
+from sramyield.yieldmodel import DeltaVDistribution, OffsetVoltageDist
+
+assert "scipy.special" not in sys.modules and "scipy.integrate" not in sys.modules
+offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
+got = yieldmodel.access_fail_prob_ber(DeltaVDistribution(mu_delta=0.2, sigma_delta=1e-4), offset)
+special = sys.modules["scipy.special"]
+print("scipy.integrate" in sys.modules, mc.ndtri is special.ndtri,
+      yieldmodel.ndtr is special.ndtr, hasattr(special, "gamma"), repr(got))
+"""
+
+
+def test_quad_fallback_after_the_loader():
+    # the steep pair of test_steep_pair_falls_back_to_quad: its fallback
+    # imports scipy.integrate, and with it the whole scipy.special, mid-run
+    offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
+    *flags, got = fresh(QUAD_AFTER_LOADER, flags=["-W", "error::RuntimeWarning"]).split()
+    assert flags == ["True"] * 4
+    assert float(got) == yieldmodel._ber_quad(0.2, 1e-4, offset)

@@ -8,6 +8,8 @@ index), never on how the index range was split over threads.
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -140,6 +142,53 @@ class TestDraws:
         cat = np.concatenate([draw_write_samples(VAR, s, c)[0] for s, c in [(0, 10), (10, 54)]])
         assert np.array_equal(w_n, cat)
         assert w_p.shape == (64,)
+
+    @pytest.mark.parametrize("start", [0, 16384, 123457, 2**40 + 3])
+    def test_reused_generator_matches_a_fresh_one(self, start):
+        # each thread's one generator, reset per block, against a fresh
+        # Philox keyed by (seed, role) and advanced to the block
+        for seed, role in [(901, 1), (2**64 - 1, 2), (901, 1)]:
+            bg = np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
+            bg.advance(start)
+            fresh = np.maximum(np.random.Generator(bg).random((5, 4)), mc._MIN_UNIFORM)
+            assert np.array_equal(mc._block_uniforms(seed, role, start, 5), fresh)
+
+    def test_threads_do_not_share_a_generator(self):
+        # more threads than cores, switching as often as the interpreter allows:
+        # a generator shared between threads would mix their states
+        keys = [(901, 1), (902, 2), (2**64 - 1, 1), (7, 2), (901, 2), (160, 1)]
+        starts = range(0, 2**20, 1021)
+        got, interval, go = {}, sys.getswitchinterval(), threading.Barrier(len(keys))
+
+        def draw(key):
+            go.wait(timeout=60)
+            got[key] = [mc._block_uniforms(*key, start, 3) for start in starts]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=draw, args=(key,)) for key in keys]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for key in keys:
+            assert all(np.array_equal(u, mc._block_uniforms(*key, start, 3))
+                       for u, start in zip(got[key], starts, strict=True))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_generator_per_thread(self, default_cell, monkeypatch, threads):
+        monkeypatch.setattr(mc, "_BLOCK", 8)  # 10 blocks per pass
+        want = run_access_mc(default_cell, VAR, 80, T_READ).to_dict()
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+        assert run_access_mc(default_cell, VAR, 80, T_READ, threads=threads).to_dict() == want
+        # at one thread the reference pass built this thread's generator; the
+        # pool's threads are new
+        assert len(built) <= (0 if threads == 1 else threads)
 
     def test_roles_are_separated(self):
         a, _ = draw_access_samples(VAR, 0, 50)
