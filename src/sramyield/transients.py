@@ -112,8 +112,9 @@ class CellConfig(Record):
     after any assist; `apply_assist` produces modified copies. Construction
     checks only that the drain factors stay finite; the write integral at
     the nominal contention ratio, and the check that the pull-down stays
-    ahead on the whole path, wait for the first `w_trip` read, so cells that
-    only serve reads never pay for them.
+    ahead on the whole path (by a bound where it settles it, else by a
+    scan), wait for the first `w_trip` read, so cells that only serve reads
+    never pay for them.
     """
 
     nmos: DeviceParams
@@ -429,10 +430,11 @@ def write_time_closed(cell, vth_n):
     its nominal value beta0 (CellConfig.w_trip), so only the access-transistor
     polynomial varies per sample and at nominal thresholds the two agree.
     Raises ModelInapplicableError when the frozen pull-up overpowers the
-    pull-down anywhere on the integration path. Takes one cell or a sequence.
+    pull-down anywhere on the integration path (_trip_integrals says where it
+    looks). Takes one cell or a sequence.
     """
-    w = cell.w_trip if isinstance(cell, CellConfig) else _trip_integrals(cell)[:, None]
     c = _columns(cell)
+    w = cell.w_trip if isinstance(cell, CellConfig) else _trip_integrals(cell, c)[:, None]
     p_n = np.clip(gate_polynomial(c.nmos, c.vwl, c.vt, np.asarray(vth_n, dtype=float)),
                   -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
     t = c.c_q * np.exp(-p_n) * w
@@ -465,35 +467,46 @@ def _drives(c, v):
             _current_at_zero_overdrive(c.pmos, vds_p, c.vt))
 
 
-def _trip_integrals(cells):
+def _trip_integrals(cells, c=None):
     """W(beta0) of each cell of a sequence (V/A): the write integral of
     dv / (h_n - beta0*h_p) over [v_trip, vdd] at the nominal contention ratio.
 
-    One _drives call covers, for every cell, a 1025-point grid on which the
-    net drive must stay positive, and the nodes of 8- and 16-node composite
-    rules on two segments split at vddc, the kink of h_p; where the two rules
-    disagree, adaptive quadrature decides. Without a kink on the path (vddc
-    >= vdd) the second segment shrinks to vdd, and its zero-width panels add
-    exact zeros to the left-to-right sums. A failing cell raises; the first
-    one does if several fail.
+    It sums 8- and 16-node composite rules on [v_trip, vdd], split at vddc,
+    the kink of h_p, if some cell has it on the path; where the two rules
+    disagree, adaptive quadrature decides. The net drive must stay positive on
+    the rule nodes and on a 1025-point grid. With DIBL >= 0 on both devices,
+    h_n rises and h_p falls along the path, so the net drive is least at
+    v_trip: where it exceeds 1e-9 of h_n(vdd) + beta0*h_p(v_trip), with both
+    drives at v_trip normal floats, no node of either can round to <= 0. So
+    one _drives call evaluates the rule nodes, v_trip and vdd, and the grid is
+    evaluated only for a sequence with a cell this bound does not settle. A
+    failing cell raises; the first one does if several fail. `c` is
+    _columns(cells), if the caller has it.
     """
-    c = _columns(cells)
-    edges = _write_edges(c, [np.minimum(c.vddc, c.vdd)])
+    c = _columns(cells) if c is None else c
+    edges = _write_edges(c, [np.minimum(c.vddc, c.vdd)] if np.any(c.vddc < c.vdd) else [])
     (v8, w8), (v16, w16) = (_composite_rule(edges, order) for order in (8, 16))
-    v = np.concatenate([_linspace(c.v_trip, c.vdd, 1025), v8, v16], axis=-1)
+    v = np.concatenate([c.v_trip, c.vdd, v8, v16], axis=-1)
     h_n, h_p = _drives(c, v)
     net = h_n - c.beta0 * h_p
-    failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(np.min(net, axis=-1) > 0.0))
-    if failing.size:
-        i = failing[0]
-        cell = cells[i]
-        if not cell.v_trip < cell.vdd:
+    proved = ((np.minimum(c.nmos.dibl, c.pmos.dibl) >= 0.0) & (c.v_trip < c.vdd)
+              & (np.minimum(h_n[:, :1], h_p[:, :1]) >= 1e-290)
+              & (net[:, :1] > 1e-9 * (h_n[:, 1:2] + c.beta0 * h_p[:, :1])))
+    if not proved.all():
+        v = np.concatenate([_linspace(c.v_trip, c.vdd, 1025), v[:, 2:]], axis=-1)
+        h_n, h_p = _drives(c, v)
+        net = h_n - c.beta0 * h_p
+        failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(np.min(net, axis=-1) > 0.0))
+        if failing.size:
+            i = failing[0]
+            cell = cells[i]
+            if not cell.v_trip < cell.vdd:
+                raise ModelInapplicableError(
+                    f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
             raise ModelInapplicableError(
-                f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
-        raise ModelInapplicableError(
-            "pull-up overpowers pull-down in the closed write model "
-            f"near v_q = {v[i, int(np.argmin(net[i]))]:.4f} V; closed write times are undefined"
-        )
+                "pull-up overpowers pull-down in the closed write model "
+                f"near v_q = {v[i, int(np.argmin(net[i]))]:.4f} V; closed write times are undefined"
+            )
     split = v.shape[-1] - w16.shape[-1]
     coarse = np.add.accumulate(w8 / net[:, split - w8.shape[-1]:split], axis=-1)[:, -1]
     total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]

@@ -719,6 +719,31 @@ class TestSweep:
         indices = [i for start, count in drawn for i in range(start, start + count)]
         assert sorted(indices) == list(range(per_cell))
 
+    # cells whose pull-up check takes the 1025-point scan of _trip_integrals
+    # (a negative pmos lambda; an overpowering pull-up): sha256 of sweep.csv,
+    # as the scan on every chunk wrote it, or the error
+    @pytest.mark.parametrize("key, value, rc, expect", [
+        ("lambda", -0.02, 0, "686599fb44733e136a341002f22ed25e6a2a3ea204f03b0c9326e54f5c370018"),
+        ("i0", 1e-4, EXIT_DOMAIN,
+         "error: sweep point vdd=0.7 failed: pull-up overpowers pull-down in the closed "
+         "write model near v_q = 0.3500 V; closed write times are undefined\n"),
+    ], ids=["negative-lambda", "overpowered"])
+    def test_scanned_write_cells(self, tmp_path, capsys, key, value, rc, expect):
+        import hashlib
+
+        cell = bundled("default_cell.json")
+        cell["pmos"][key] = value
+        cell_json = tmp_path / "cell.json"
+        cell_json.write_text(json.dumps(cell))
+        assert main(["--out-dir", str(tmp_path / "out"), "--seed", "160", "sweep", "--cell",
+                     str(cell_json), "--axis", "vdd", "--mode", "write", "--values",
+                     "0.7,0.6,0.5,0.45,0.4", "--char-n", "100"]) == rc
+        if rc:
+            assert capsys.readouterr().err == expect
+        else:
+            csv_bytes = (tmp_path / "out" / "sweep.csv").read_bytes()
+            assert hashlib.sha256(csv_bytes).hexdigest() == expect
+
 
 class TestQq:
     def test_access_full_curve(self, tmp_path):

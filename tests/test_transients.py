@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, minimize_scalar
@@ -27,6 +27,7 @@ from sramyield.devices import (
     DeviceParams,
     _current_proposed,
     gate_polynomial,
+    load_device_table,
     thermal_voltage,
 )
 from sramyield.errors import DomainError, ModelInapplicableError, ParseError
@@ -185,6 +186,27 @@ class TestCellConfig:
         w = cell.w_trip
         assert len(calls) == 1
         assert write_time_closed(cell, 0.38) > 0.0 and cell.w_trip == w and len(calls) == 1
+
+    def test_grid_scan_only_where_the_bound_fails(self, default_cell, quiet_nmos, monkeypatch):
+        # the 1025-point grid is evaluated only for a chunk the bound does not settle
+        widths = []
+        drives = transients._drives
+        monkeypatch.setattr(transients, "_drives",
+                            lambda c, v: widths.append(np.atleast_1d(v).shape[-1]) or drives(c, v))
+        sweep = [_sweep_cell(default_cell, "vdd", v) for v in np.linspace(0.7, 0.35, 351)]
+        transients._trip_integrals(sweep[:10])
+        assert widths and max(widths) < 1025
+        negative = dataclasses.replace(
+            default_cell, pmos=dataclasses.replace(default_cell.pmos, dibl=-0.02))
+        tiny = _sweep_cell(default_cell, "vdd", 1e-300)  # drives below 1e-290
+        overpowered = make_cell(quiet_nmos, pmos=weak_pmos(i0=1e-4))
+        for chunk in ([*sweep[10:13], negative], [sweep[0], tiny], [overpowered]):
+            widths.clear()
+            try:
+                transients._trip_integrals(chunk)
+            except ModelInapplicableError:
+                pass
+            assert max(widths) > 1025
 
 
 class TestAssist:
@@ -601,6 +623,130 @@ class TestCellBatches:
         rows = transients._linspace(column, column + span, num)
         assert rows[0].tolist() == ref.tolist()
         assert rows[1].tolist() == np.linspace(start + 1.0, start + 1.0 + span, num).tolist()
+
+
+def trip_integrals_reference(cells):
+    """_trip_integrals with the positivity scan on every chunk: the net drive
+    on a 1025-point grid and the rule nodes, split at min(vddc, vdd), must
+    stay positive."""
+    c = transients._columns(cells)
+    edges = transients._write_edges(c, [np.minimum(c.vddc, c.vdd)])
+    (v8, w8), (v16, w16) = (transients._composite_rule(edges, order) for order in (8, 16))
+    v = np.concatenate([transients._linspace(c.v_trip, c.vdd, 1025), v8, v16], axis=-1)
+    h_n, h_p = transients._drives(c, v)
+    net = h_n - c.beta0 * h_p
+    failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(np.min(net, axis=-1) > 0.0))
+    if failing.size:
+        i = failing[0]
+        cell = cells[i]
+        if not cell.v_trip < cell.vdd:
+            raise ModelInapplicableError(
+                f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
+        raise ModelInapplicableError(
+            "pull-up overpowers pull-down in the closed write model "
+            f"near v_q = {v[i, int(np.argmin(net[i]))]:.4f} V; closed write times are undefined"
+        )
+    split = v.shape[-1] - w16.shape[-1]
+    coarse = np.add.accumulate(w8 / net[:, split - w8.shape[-1]:split], axis=-1)[:, -1]
+    total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]
+    for i in np.flatnonzero(~(np.abs(total - coarse) <= transients._WRITE_REL_TOL * total)):
+        cell = cells[i]
+        total[i] = transients._trip_quad(transients._columns(cell), cell.beta0,
+                                         [cell.vddc] if cell.vddc < cell.vdd else [])
+    return total
+
+
+def _bundled_devices(polarity):
+    table = load_device_table()
+    cell = load_default_cell()
+    return [getattr(cell, polarity), *(d for d in table.values() if d.polarity == polarity)]
+
+
+_DIBL = st.one_of(st.sampled_from([None, None, -0.02, 0.0, 0.02]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def trip_cells(draw):
+    """Cells on the bundled devices: either sign of DIBL, vddc above and below
+    vdd (at 2.1 vdd, v_trip = vddc/2 lies past vdd), vdd down to 1e-300
+    (drives about 1e-4*vdd, so 1e-286 is below the bound's 1e-290 floor and
+    1e-284 above it), the pull-up scaled towards and past failure."""
+    vdd = draw(st.sampled_from([None] * 6 + [1e-300, 1e-286, 1e-284]))
+    vdd = draw(st.floats(0.3, 0.8)) if vdd is None else vdd
+    vddc = vdd * draw(st.one_of(st.just(1.0), st.floats(0.85, 1.25), st.just(2.1)))
+    vwl = vdd if vdd < 0.3 else vdd + draw(st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
+    nmos = draw(st.sampled_from(_bundled_devices("nmos")))
+    pmos = draw(st.sampled_from(_bundled_devices("pmos")))
+    dibl_n, dibl_p = draw(_DIBL), draw(_DIBL)
+    scale = 10.0 ** draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.2)))
+    shift = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+    try:
+        nmos = nmos if dibl_n is None else dataclasses.replace(nmos, dibl=dibl_n)
+        pmos = dataclasses.replace(pmos, dibl=pmos.dibl if dibl_p is None else dibl_p,
+                                   i0=pmos.i0 * scale, vth_nominal=pmos.vth_nominal + shift)
+        return CellConfig(nmos=nmos, pmos=pmos, vdd=vdd, vwl=vwl, vddc=vddc)
+    except DomainError:
+        reject()
+
+
+def _outcome(call):
+    """The bits of an array of W(beta0), or the type and message it raised."""
+    try:
+        return np.asarray(call()).view(np.int64).tolist()
+    except ModelInapplicableError as exc:
+        return type(exc), str(exc)
+
+
+class TestTripIntegralBound:
+    """W(beta0) where the bound skips the grid scan: the same bits, and the
+    same error from the same cell, as the scan on every chunk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(trip_cells(), min_size=1, max_size=3))
+    def test_matches_the_scan(self, cells):
+        want = _outcome(lambda: trip_integrals_reference(cells))
+        assert _outcome(lambda: transients._trip_integrals(cells)) == want
+        alone = [_outcome(lambda: trip_integrals_reference([cell])) for cell in cells]
+        if isinstance(want, tuple):  # the first failing cell raises
+            assert want == next(a for a in alone if isinstance(a, tuple))
+        else:
+            assert want == [a[0] for a in alone]
+        for cell, a in zip(cells, alone):
+            fresh = dataclasses.replace(cell)  # w_trip not yet computed
+            assert _outcome(lambda: [fresh.w_trip]) == a
+
+    @pytest.mark.parametrize("chunk", [
+        [("vdd", 0.7), ("vdd", 0.5), ("vdd", 1e-284)],  # settled by the bound
+        [("vdd", 0.5), ("vdd", 1e-300)],  # drives below 1e-290: scanned
+        [("vdd", 0.5), ("i0", 1e-4), ("i0", 2e-4)],  # the first overpowered cell raises
+    ])
+    def test_sweep_chunks_match_the_scan(self, default_cell, chunk):
+        cells = [_sweep_cell(default_cell, "vdd", value) if key == "vdd" else
+                 dataclasses.replace(default_cell, pmos=dataclasses.replace(
+                     default_cell.pmos, i0=value)) for key, value in chunk]
+        want = _outcome(lambda: trip_integrals_reference(cells))
+        assert _outcome(lambda: transients._trip_integrals(cells)) == want
+        assert isinstance(want, tuple) == (chunk[-1][0] == "i0")
+
+    def test_cells_at_the_edge_of_failure(self, default_cell):
+        # pmos i0 bisected to adjacent floats where net(v_trip) changes sign:
+        # inside the bound's margin on both sides, so the scan decides both
+        def cell(i0):
+            return dataclasses.replace(
+                default_cell, pmos=dataclasses.replace(default_cell.pmos, i0=i0))
+
+        def net_at_trip(i0):
+            c = transients._columns([cell(i0)])
+            h_n, h_p = transients._drives(c, c.v_trip)
+            return (h_n - c.beta0 * h_p).item()
+
+        lo, hi = default_cell.pmos.i0, 1e-4
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if net_at_trip(mid) > 0.0 else (lo, mid)
+        for i0 in (lo, hi):
+            want = _outcome(lambda: trip_integrals_reference([cell(i0)]))
+            assert _outcome(lambda: transients._trip_integrals([cell(i0)])) == want
+        assert isinstance(want, tuple)  # net(v_trip) <= 0 fails the scan
 
 
 class TestWriteTimeOde:
