@@ -12,12 +12,12 @@ PMOS devices are evaluated with source-referenced magnitudes: callers pass
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import Record, bundled_json, read_json
-from .errors import DomainError, require_finite
+from .errors import DomainError, check_domains, domain
 
 # Exact SI 2019 values, the same floats scipy.constants holds; importing it
 # would add to the start-up of every command.
@@ -66,33 +66,25 @@ class DeviceParams(Record):
         monotonicity invariant is enforced up to this bias.
     """
 
-    i0: float
-    k1: float
-    k2: float
-    dibl: float = field(metadata={"key": "lambda"})
-    vth_nominal: float
-    n: float = 1.5
+    i0: float = domain(0.0)
+    k1: float = domain(0.0)
+    k2: float = domain()
+    dibl: float = domain(metadata={"key": "lambda"})
+    vth_nominal: float = domain()
+    n: float = domain(1.0, closed=True, default=1.5)
     polarity: str = "nmos"
-    vgs_max: float = 0.7
+    vgs_max: float = domain(0.0, default=0.7)
 
     _WHAT = "device JSON"
 
     def __post_init__(self):
-        require_finite(self, ("i0", "k1", "k2", "dibl", "vth_nominal", "n", "vgs_max"))
-        if self.i0 <= 0.0:
-            raise DomainError(f"i0 must be positive, got {self.i0}")
-        if self.n < 1.0:
-            raise DomainError(f"subthreshold swing factor n must be >= 1, got {self.n}")
-        if self.k1 <= 0.0:
-            raise DomainError(f"k1 must be positive, got {self.k1}")
+        check_domains(self)
         if abs(self.k2) >= self.k1:
             raise DomainError(
                 f"|k2| must be below k1 for a monotone I-V (k1={self.k1}, k2={self.k2})"
             )
         if self.polarity not in _POLARITIES:
             raise DomainError(f"polarity must be one of {_POLARITIES}, got {self.polarity!r}")
-        if self.vgs_max <= 0.0:
-            raise DomainError(f"vgs_max must be positive, got {self.vgs_max}")
         # Monotone current up to the declared gate range: k1 + 2*k2*x > 0 at
         # the largest overdrive reached. Checked at the 25 C fitting
         # condition, where the constants are defined.
@@ -109,18 +101,12 @@ class DeviceParams(Record):
 class OperatingPoint:
     """A single bias point; PMOS biases are source-referenced magnitudes."""
 
-    vgs: float
-    vds: float
-    temperature_c: float = 25.0
+    vgs: float = domain(0.0, closed=True)
+    vds: float = domain(0.0, closed=True)
+    temperature_c: float = domain(-_ZERO_C_IN_K, default=25.0)
 
     def __post_init__(self):
-        require_finite(self, ("vgs", "vds", "temperature_c"))
-        if self.vgs < 0.0:
-            raise DomainError(f"vgs must be >= 0 (magnitude convention), got {self.vgs}")
-        if self.vds < 0.0:
-            raise DomainError(f"vds must be >= 0 (magnitude convention), got {self.vds}")
-        if self.temperature_c <= -_ZERO_C_IN_K:
-            raise DomainError(f"temperature {self.temperature_c} C below absolute zero")
+        check_domains(self)
 
 
 def gate_polynomial(params, vgs, vt, vth=None):

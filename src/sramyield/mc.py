@@ -28,7 +28,7 @@ import numpy as np
 
 from ._ufuncs import ndtri
 from .artifacts import Record, csv_file, csv_text
-from .errors import DomainError, require_finite
+from .errors import DomainError, check_domains, domain
 from .transients import (CellConfig, default_write_t_max, delta_v_closed, delta_v_ode,
                          write_time_closed, write_time_ode)
 from .yieldmodel import (DEFAULT_T0, AccessCharacterization, OffsetVoltageDist,
@@ -49,10 +49,10 @@ _PHILOX = threading.local()  # one generator per thread, reset for every block
 class VariationSpec(Record):
     """Gaussian threshold variation plus sense-amp offset, with the RNG seed."""
 
-    vth_n_mean: float
-    vth_n_sigma: float
-    vth_p_mean: float
-    vth_p_sigma: float
+    vth_n_mean: float = domain()
+    vth_n_sigma: float = domain(0.0)
+    vth_p_mean: float = domain()
+    vth_p_sigma: float = domain(0.0)
     offset: OffsetVoltageDist
     seed: int
 
@@ -60,11 +60,7 @@ class VariationSpec(Record):
     _WHAT = "variation JSON"
 
     def __post_init__(self):
-        require_finite(self, ("vth_n_mean", "vth_n_sigma", "vth_p_mean", "vth_p_sigma"))
-        if not self.vth_n_sigma > 0.0:
-            raise DomainError(f"vth_n_sigma must be > 0, got {self.vth_n_sigma}")
-        if not self.vth_p_sigma > 0.0:
-            raise DomainError(f"vth_p_sigma must be > 0, got {self.vth_p_sigma}")
+        check_domains(self)
         if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

@@ -30,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .devices import (
+    _ZERO_C_IN_K,
     EXP_ARG_LIMIT,
     DeviceParams,
     _current_at_zero_overdrive,
@@ -37,7 +38,7 @@ from .devices import (
     thermal_voltage,
 )
 from .artifacts import Record, bundled_json, read_json
-from .errors import DomainError, ModelInapplicableError, require_finite
+from .errors import DomainError, ModelInapplicableError, check_domains, domain
 
 TRIP_RATIO_BOUNDS = (0.40, 0.62)
 BOOST_HEADROOM = 0.2
@@ -110,7 +111,9 @@ class CellConfig(Record):
 
     `vwl` and `vddc` are the effective wordline and cell-supply voltages
     after any assist; `apply_assist` produces modified copies. Construction
-    checks only that the drain factors stay finite; the write integral at
+    checks each field's declared domain, the rules between fields
+    (polarities, the v_trip band, the boost headroom) and that the drain
+    factors stay finite; the write integral at
     the nominal contention ratio, and the check that the pull-down stays
     ahead on the whole path (by a bound where it settles it, else by a
     scan), wait for the first `w_trip` read, so cells that only serve reads
@@ -119,13 +122,13 @@ class CellConfig(Record):
 
     nmos: DeviceParams
     pmos: DeviceParams
-    vdd: float
-    vwl: float
-    vddc: float
-    c_blb: float = 50e-15
-    c_q: float = 1e-15
-    v_trip: float | None = None
-    temperature_c: float = 25.0
+    vdd: float = domain(0.0)
+    vwl: float = domain(0.0, closed=True)
+    vddc: float = domain(0.0)
+    c_blb: float = domain(0.0, default=50e-15)
+    c_q: float = domain(0.0, default=1e-15)
+    v_trip: float | None = domain(default=None)
+    temperature_c: float = domain(-_ZERO_C_IN_K, default=25.0)
 
     _JSON = {"schema": 1}
     _WHAT = "cell JSON"
@@ -133,19 +136,11 @@ class CellConfig(Record):
     def __post_init__(self):
         if self.v_trip is None:
             object.__setattr__(self, "v_trip", 0.5 * self.vddc)
-        require_finite(self, ("vdd", "vwl", "vddc", "c_blb", "c_q", "v_trip", "temperature_c"))
+        check_domains(self)
         if self.nmos.polarity != "nmos":
             raise DomainError("CellConfig.nmos must have polarity 'nmos'")
         if self.pmos.polarity != "pmos":
             raise DomainError("CellConfig.pmos must have polarity 'pmos'")
-        if self.vdd <= 0.0:
-            raise DomainError(f"vdd must be positive, got {self.vdd}")
-        if self.vwl < 0.0:
-            raise DomainError(f"vwl must be >= 0, got {self.vwl}")
-        if self.vddc <= 0.0:
-            raise DomainError(f"vddc must be positive, got {self.vddc}")
-        if self.c_blb <= 0.0 or self.c_q <= 0.0:
-            raise DomainError("capacitances must be positive")
         if not 0.0 < self.v_trip < self.vddc:
             raise DomainError(f"v_trip must lie in (0, vddc), got {self.v_trip}")
         if self.vwl > self.vdd + BOOST_HEADROOM:
@@ -158,7 +153,6 @@ class CellConfig(Record):
             raise DomainError(
                 f"v_trip/vddc = {ratio:.3f} outside the validated band [{lo}, {hi}]"
             )
-        thermal_voltage(self.temperature_c)  # rejects non-physical temperature
         self._check_write_model()
 
     # -- closed write model ---------------------------------------------------
@@ -253,16 +247,12 @@ def _columns(cell):
 class AssistConfig:
     """Fixed voltage shifts modeling read/write assist circuits."""
 
-    wl_underdrive: float = 0.0
-    wl_boost: float = 0.0
-    cell_vdd_delta: float = 0.0
+    wl_underdrive: float = domain(0.0, closed=True, default=0.0)
+    wl_boost: float = domain(0.0, closed=True, default=0.0)
+    cell_vdd_delta: float = domain(default=0.0)
 
     def __post_init__(self):
-        require_finite(self, ("wl_underdrive", "wl_boost", "cell_vdd_delta"))
-        if self.wl_underdrive < 0.0:
-            raise DomainError(f"wl_underdrive must be >= 0, got {self.wl_underdrive}")
-        if self.wl_boost < 0.0:
-            raise DomainError(f"wl_boost must be >= 0, got {self.wl_boost}")
+        check_domains(self)
 
 
 def apply_assist(base, assist, mode):
@@ -311,15 +301,16 @@ def delta_v_closed(cell, vth_n, t_read):
                            -EXP_ARG_LIMIT, EXP_ARG_LIMIT))
     drive = np.exp(p, out=p)  # i0*exp(p), in p's storage
     drive *= nm.i0
-    ramp = np.asarray(drive * t)  # discharge without the DIBL factor
-    ramp /= c.c_blb
     z = nm.dibl / (nm.n * c.vt)
     linear = z == 0.0
     any_linear = np.any(linear)
     z = np.where(linear, 1.0, z)  # zero DIBL takes the ramp itself, below
-    arg = ramp.copy() if any_linear else ramp
-    arg *= z
-    arg *= _libm_exp(z * c.vdd)
+    with np.errstate(over="ignore"):  # a huge read time saturates at vdd below
+        ramp = np.asarray(drive * t)  # discharge without the DIBL factor
+        ramp /= c.c_blb
+        arg = ramp.copy() if any_linear else ramp
+        arg *= z
+        arg *= _libm_exp(z * c.vdd)
     drained = arg <= -1.0
     any_drained = drained.any()
     if any_drained:
@@ -403,7 +394,8 @@ def delta_v_ode(cell, vth_n, t_read):
     nm = cell.nmos
     vt = thermal_voltage(cell.temperature_c)
     p = np.clip(gate_polynomial(nm, cell.vwl, vt, vth_n), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    tau = np.exp(p) * t / cell.c_blb
+    with np.errstate(over="ignore"):  # a tau of inf is past the table: vdd
+        tau = np.exp(p) * t / cell.c_blb
     edges, table = cell.read_table
     inv_drive = _inverse_read_drive(cell)
     dv = np.empty(tau.shape)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._ufuncs import ndtr, ndtri
 from .artifacts import Record, csv_text, json_value, parsing, read_json, write_csv
-from .errors import DegenerateStatisticsError, DomainError, ParseError, require_finite
+from .errors import DegenerateStatisticsError, DomainError, ParseError, check_domains, domain
 from .transients import CellConfig, _composite_rule, read_time_closed
 
 SINGLE_BRANCH_RATIO = 4.0
@@ -38,11 +38,7 @@ _BRENT_MAX_ITER = 100  # scipy's brentq default
 _BER_TERMS = 1 << 14
 
 
-def _check_moments(mu, sigma, what):
-    if not sigma > 0.0:
-        raise DomainError(f"{what} sigma must be > 0, got {sigma}")
-    if not mu > 0.0:
-        raise DomainError(f"{what} mu must be > 0, got {mu}")
+def _warn_single_branch(mu, sigma, what):
     if mu / sigma < SINGLE_BRANCH_RATIO:
         warnings.warn(
             f"{what} mu/sigma = {mu / sigma:.2f} < {SINGLE_BRANCH_RATIO:g}: "
@@ -55,49 +51,45 @@ def _check_moments(mu, sigma, what):
 class DeltaVDistribution(Record):
     """Moments of sqrt(delta_v); delta_v in volts, moments in V**0.5."""
 
-    mu_delta: float
-    sigma_delta: float
+    mu_delta: float = domain(0.0)
+    sigma_delta: float = domain(0.0)
 
     _JSON = {"schema": 1, "kind": "access_delta"}
     _WHAT = "delta distribution JSON"
 
     def __post_init__(self):
-        require_finite(self, ("mu_delta", "sigma_delta"))
-        _check_moments(self.mu_delta, self.sigma_delta, "DeltaVDistribution")
+        check_domains(self)
+        _warn_single_branch(self.mu_delta, self.sigma_delta, "DeltaVDistribution")
 
 
 @dataclass(frozen=True)
 class WriteTimeDistribution(Record):
     """Moments of sqrt(ln(t/t0)); t0 is the reference time scale in seconds."""
 
-    mu_w: float
-    sigma_w: float
-    t0: float = DEFAULT_T0
+    mu_w: float = domain(0.0)
+    sigma_w: float = domain(0.0)
+    t0: float = domain(0.0, default=DEFAULT_T0)
 
     _JSON = {"schema": 1, "kind": "write_time"}
     _WHAT = "write distribution JSON"
 
     def __post_init__(self):
-        require_finite(self, ("mu_w", "sigma_w", "t0"))
-        if not self.t0 > 0.0:
-            raise DomainError(f"t0 must be > 0, got {self.t0}")
-        _check_moments(self.mu_w, self.sigma_w, "WriteTimeDistribution")
+        check_domains(self)
+        _warn_single_branch(self.mu_w, self.sigma_w, "WriteTimeDistribution")
 
 
 @dataclass(frozen=True)
 class OffsetVoltageDist(Record):
     """Normal sense-amp offset voltage in volts."""
 
-    mu_vos: float
-    sigma_vos: float
+    mu_vos: float = domain()
+    sigma_vos: float = domain(0.0)
 
     _JSON = {"schema": 1, "kind": "offset"}
     _WHAT = "offset JSON"
 
     def __post_init__(self):
-        require_finite(self, ("mu_vos", "sigma_vos"))
-        if not self.sigma_vos > 0.0:
-            raise DomainError(f"sigma_vos must be > 0, got {self.sigma_vos}")
+        check_domains(self)
 
     @cached_property
     def _ber_rules(self):

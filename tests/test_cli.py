@@ -20,7 +20,13 @@ from sramyield import mc
 from sramyield.cli import EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_FIT, EXIT_PARSE, main
 from sramyield.mc import run_access_mc, run_write_mc
 from sramyield.errors import DomainError
-from sramyield.transients import delta_v_closed, read_cell_json, write_time_closed
+from sramyield.transients import (
+    delta_v_closed,
+    delta_v_ode,
+    load_default_cell,
+    read_cell_json,
+    write_time_closed,
+)
 from sramyield.yieldmodel import (
     WriteTimeDistribution,
     write_fail_prob,
@@ -210,6 +216,19 @@ class TestExitCodes:
             rc = run_cli(tmp_path / "out", "mc", "--oracle", "ode", "--mode", "access",
                          "--n", "300", "--t-read", "1.2e-10", "--export", "samples.csv",
                          "--cell", str(cell_json))
+        assert rc == 0
+
+    @pytest.mark.parametrize("oracle", ["closed", "ode"])
+    def test_huge_read_time_is_quiet(self, tmp_path, oracle):
+        # exp(p)*t/c_blb overflows to inf, which both oracles saturate at vdd
+        cell = load_default_cell()
+        delta_v = {"closed": delta_v_closed, "ode": delta_v_ode}[oracle]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dv = delta_v(cell, np.array([0.2, 0.38, 0.6]), 1e300)
+            rc = run_cli(tmp_path, "mc", "--oracle", oracle, "--mode", "access",
+                         "--n", "300", "--t-read", "1e300")
+        assert np.all(dv == cell.vdd)
         assert rc == 0
 
     def test_overflowing_write_time(self, tmp_path, capsys):

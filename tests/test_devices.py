@@ -29,6 +29,8 @@ from sramyield.devices import (
     thermal_voltage,
 )
 
+from test_domains import NON_FINITE, check_non_finite_rejected, fields_of
+
 VT_25C = 0.025692579121085846518  # k_B * 298.15 K / q, CODATA 2018
 GOLDEN_BIAS = dict(vgs=0.6, vds=0.7)
 GOLDEN_IDS_PROPOSED = 4.877974184186173e-05
@@ -264,12 +266,10 @@ class TestParameterValidation:
             DeviceParams(i0=1e-6, k1=0.4, k2=-0.01, dibl=0.02, vth_nominal=0.35,
                          polarity="finfet")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["i0", "k1", "k2", "dibl", "vth_nominal", "n", "vgs_max"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", fields_of(DeviceParams))
     def test_rejects_non_finite_constant(self, field, value):
-        good = dict(i0=1e-6, k1=0.4, k2=-0.01, dibl=0.02, vth_nominal=0.35)
-        with pytest.raises(DomainError, match=f"^{field} must be finite"):
-            DeviceParams(**{**good, field: value})
+        check_non_finite_rejected(DeviceParams, field, value)
 
     def test_negative_dibl_is_allowed(self, device_table):
         assert device_table["nch_svt"].dibl < 0.0
@@ -289,12 +289,10 @@ class TestOperatingPoint:
         with pytest.raises(DomainError):
             OperatingPoint(vgs=0.5, vds=0.5, temperature_c=-280.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["vgs", "vds", "temperature_c"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", fields_of(OperatingPoint))
     def test_rejects_non_finite_bias(self, field, value):
-        bias = dict(vgs=0.5, vds=0.1, temperature_c=25.0)
-        with pytest.raises(DomainError, match=f"^{field} must be finite"):
-            OperatingPoint(**{**bias, field: value})
+        check_non_finite_rejected(OperatingPoint, field, value)
 
 
 class TestSerialization:
