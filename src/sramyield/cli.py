@@ -299,6 +299,9 @@ def cmd_characterize(args, run, log):
 def cmd_yield(args, run, log):
     run.note_input(args.characterization)
     dist = read_distribution_json(args.characterization)
+    if not isinstance(dist, (AccessCharacterization, WriteTimeDistribution)):
+        raise ParseError(f"{args.characterization} holds kind {dist._JSON['kind']!r}, "
+                         "not an access characterization or a write-time distribution")
     offset = None
     if args.offset is not None:
         run.note_input(args.offset)

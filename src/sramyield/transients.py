@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +47,7 @@ _NEWTON_STEPS = 3
 _READ_CHUNK = 4096  # lanes per Newton pass of delta_v_ode: (8, chunk) node arrays
 _WRITE_PANELS = 8  # per segment of the write path
 _WRITE_GRADING = 10  # panels halving towards v*, per side
+_WRITE_DEEP_GRADING = 40  # the same, in the deep rule: 16 nodes, where 8 and 16 disagree
 _WRITE_REL_TOL = 1e-12
 _WRITE_CHUNK = 16384  # lanes per pass of write_time_ode's node sums
 _FMINBOUND_MAX_EVALS = 500  # scipy's maxiter default for method="bounded"
@@ -197,16 +198,21 @@ class CellConfig(Record):
     def write_path(self):
         """What every write_time_ode call on this cell shares, computed once:
         r_crit (_critical_ratio), the cuts of the path, its constants c
-        (_columns) and per rule order (8, 16) the weights, h_n and h_p."""
+        (_columns) and per rule order (8, 16) the weights, h_n and h_p; deep()
+        builds the deep rule on first use, as few lanes need it."""
         r_crit, v_star = _critical_ratio(self)
         cuts = [v for v in (self.vddc, v_star) if self.v_trip < v < self.vdd]
-        edges = _write_edges(self, cuts, v_star)
         c = _columns(self)
-        rules = []
-        for order in (8, 16):
+
+        def rule(edges, order):
             nodes, w = _composite_rule(edges, order)
-            rules.append((w, *_drives(c, nodes)))
-        return SimpleNamespace(r_crit=r_crit, cuts=cuts, c=c, rules=rules)
+            return (w, *_drives(c, nodes))
+
+        edges = _write_edges(self, cuts, v_star)
+        return SimpleNamespace(r_crit=r_crit, cuts=cuts, c=c,
+                               rules=[rule(edges, order) for order in (8, 16)],
+                               deep=cache(lambda: rule(_write_edges(
+                                   self, cuts, v_star, _WRITE_DEEP_GRADING), 16)))
 
 
 def read_cell_json(path):
@@ -404,8 +410,10 @@ def delta_v_ode(cell, vth_n, t_read):
         chunk = tau[i:i + _READ_CHUNK]
         k = np.minimum(np.searchsorted(table, chunk, side="right") - 1, _READ_PANELS - 1)
         hi, lo = edges[k], edges[k + 1]
-        # a lane past the table would start below its panel, at a negative bias
-        s = np.clip(hi - (chunk - table[k]) / (table[k + 1] - table[k]) * (hi - lo), lo, hi)
+        # a lane past the table would start below its panel, at a negative bias;
+        # only such lanes reach the flat last panels, and they return vdd below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.clip(hi - (chunk - table[k]) / (table[k + 1] - table[k]) * (hi - lo), lo, hi)
         for _ in range(_NEWTON_STEPS):
             residual = table[k] + _gauss_integral(inv_drive, s, hi) - chunk
             s = np.clip(s + residual / inv_drive(s), lo, hi)
@@ -433,12 +441,12 @@ def write_time_closed(cell, vth_n):
     return float(t) if np.ndim(t) == 0 else t
 
 
-def _write_edges(cell, cuts, v_star=None):
+def _write_edges(cell, cuts, v_star=None, grading=_WRITE_GRADING):
     """Panel edges on the write path [v_trip, vdd], along the last axis.
 
     _WRITE_PANELS equal panels between consecutive cuts (vddc, the kink of
-    h_p, and for the ODE lanes v*), plus, given v*, edges halving their
-    distance to it, where the integrand of a lane near r_crit peaks.
+    h_p, and for the ODE lanes v*), plus, given v*, `grading` edges a side
+    halving their distance to it, where the integrand near r_crit peaks.
     """
     ends = [cell.v_trip, *sorted(cuts), cell.vdd]
     parts = [_linspace(a, b, _WRITE_PANELS + 1) for a, b in zip(ends[:-1], ends[1:])]
@@ -446,7 +454,7 @@ def _write_edges(cell, cuts, v_star=None):
     if v_star is None:
         return edges
     width = (cell.vdd - cell.v_trip) / _WRITE_PANELS
-    graded = v_star + np.outer(width * np.exp2(-np.arange(1, _WRITE_GRADING + 1)), [-1.0, 1.0])
+    graded = v_star + np.outer(width * np.exp2(-np.arange(1, grading + 1)), [-1.0, 1.0])
     edges = np.unique(np.concatenate([edges, graded.ravel()]))
     return edges[(edges >= cell.v_trip) & (edges <= cell.vdd)]
 
@@ -465,8 +473,8 @@ def _trip_integrals(cells, c=None):
 
     It sums 8- and 16-node composite rules on [v_trip, vdd], split at vddc,
     the kink of h_p, if some cell has it on the path; where the two rules
-    disagree, adaptive quadrature decides. The net drive must stay positive on
-    the rule nodes and on a 1025-point grid. With DIBL >= 0 on both devices,
+    disagree, the cell's deep write rule decides. The net drive must stay
+    positive on the rule nodes and on a 1025-point grid. With DIBL >= 0 on both devices,
     h_n rises and h_p falls along the path, so the net drive is least at
     v_trip: where it exceeds 1e-9 of h_n(vdd) + beta0*h_p(v_trip), with both
     drives at v_trip normal floats, no node of either can round to <= 0. So
@@ -503,26 +511,20 @@ def _trip_integrals(cells, c=None):
     coarse = np.add.accumulate(w8 / net[:, split - w8.shape[-1]:split], axis=-1)[:, -1]
     total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]
     for i in np.flatnonzero(~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        cell = cells[i]
-        total[i] = _trip_quad(_columns(cell), cell.beta0, [cell.vddc] if cell.vddc < cell.vdd else [])
+        total[i] = _deep_write_integrals(cells[i].write_path, c.beta0[i])[0]
     return total
 
 
-def _trip_quad(c, ratio, cuts):
-    """W(ratio) by adaptive quadrature split at `cuts`, where fixed rules disagree.
-
-    full_output keeps quad's roundoff warning near r_crit off stderr (and,
-    unlike catch_warnings, is thread-safe); the cancellation in h_n - r*h_p
-    limits the value there either way.
-    """
-    from scipy.integrate import quad  # fallback only: keeps scipy.integrate off start-up
-
-    def integrand(v):
-        h_n, h_p = _drives(c, v)
-        return 1.0 / (h_n - ratio * h_p)
-
-    return quad(integrand, c.v_trip, c.vdd, points=cuts or None,
-                epsabs=0.0, epsrel=_WRITE_REL_TOL, limit=200, full_output=1)[0]
+def _deep_write_integrals(path, r):
+    """W(r) of each ratio of the array r on the deep rule of a write_path, a
+    lane's terms summed in node order: its bits do not depend on the batch."""
+    w, h_n, h_p = path.deep()
+    out = np.empty(r.size)
+    step = max(1, _WRITE_CHUNK // w.size)
+    for start in range(0, r.size, step):
+        lanes = r[start:start + step, None]
+        out[start:start + step] = np.add.accumulate(w / (h_n - lanes * h_p), axis=-1)[:, -1]
+    return out
 
 
 def write_time_ode(cell, vth_n, vth_p, t_max):
@@ -536,8 +538,8 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     r >= r_crit = min h_n/h_p on the path (the pull-up holds the node above
     v_trip for ever, or wins outright at the start), or a crossing after
     t_max. Each lane compares 8- and 16-node composite rules, summed node by
-    node over chunks of _WRITE_CHUNK lanes into reused buffers; lanes close
-    to r_crit, whose integrand peaks, fall back to adaptive quadrature.
+    node over chunks of _WRITE_CHUNK lanes into reused buffers; lanes where
+    they disagree, close to r_crit, take the deep rule.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
@@ -564,8 +566,9 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
                 np.subtract(nk, term, out=term)
                 np.divide(wk, term, out=term)
                 acc += term
-    for i in np.flatnonzero(live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
-        total[i] = _trip_quad(path.c, r[i], path.cuts)
+    deep = live & ~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)
+    if deep.any():
+        total[deep] = _deep_write_integrals(path, r[deep])
     t = np.where(live, cell.c_q * np.exp(-p_n) * total, np.inf)
     t = np.where(t > t_max, np.inf, t).reshape(n_b.shape)
     return float(t) if t.ndim == 0 else t

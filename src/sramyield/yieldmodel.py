@@ -29,7 +29,8 @@ FOUR_SIGMA_PF = 3.17e-5
 DEFAULT_T0 = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BER_PANELS = 8  # equal panels in y = sqrt(v) over the offset window
-_BER_REL_TOL = 1e-12  # 16- vs 32-node agreement; beyond it, adaptive quadrature
+_BER_REL_TOL = 1e-12  # 16- vs 32-node agreement; beyond it, the rules in z (_ber_steep)
+_BER_Z = 12.0  # not 8: P(V > y**2) rising as z falls moves _ber_steep's peak below 0
 # offset quantiles mu + z*sigma at the ends of auto_read_grid's read-time grid
 _GRID_Z_LO, _GRID_Z_HI = 1.6, 5.2
 _BRENT_MAX_ITER = 100  # scipy's brentq default
@@ -100,16 +101,22 @@ class OffsetVoltageDist(Record):
         The offset window [mu_vos - 8 sigma, mu_vos + 8 sigma] is clipped at 0 V,
         below which no read fails, and mapped to y = sqrt(v): c_j folds the Gauss
         weight, the panel half-width, the offset density at y_j**2 and the
-        Jacobian 2*y_j. None when the whole window lies at or below 0 V.
+        Jacobian 2*y_j. None when the whole window lies at or below 0 V; a
+        sigma_vos whose window squares overflow raises DomainError.
         """
         lo = self.mu_vos - 8.0 * self.sigma_vos
         hi = self.mu_vos + 8.0 * self.sigma_vos
         if not hi > 0.0:
             return None
-        edges = np.linspace(math.sqrt(max(lo, 0.0)), math.sqrt(hi), _BER_PANELS + 1)
-        (y16, c16), (y32, c32) = (_composite_rule(edges, order) for order in (16, 32))
-        y, c = np.concatenate([y16, y32]), np.concatenate([c16, c32])
-        density = np.exp(-((y * y - self.mu_vos) ** 2) / (2.0 * self.sigma_vos**2))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                edges = np.linspace(math.sqrt(max(lo, 0.0)), math.sqrt(hi), _BER_PANELS + 1)
+                (y16, c16), (y32, c32) = (_composite_rule(edges, order) for order in (16, 32))
+                y, c = np.concatenate([y16, y32]), np.concatenate([c16, c32])
+                density = np.exp(-((y * y - self.mu_vos) ** 2) / (2.0 * self.sigma_vos**2))
+        except (OverflowError, FloatingPointError):
+            raise DomainError(f"offset sigma_vos {self.sigma_vos!r} at mu_vos {self.mu_vos!r} is "
+                              "too large for the BER: the squares of its window overflow") from None
         return y, c * density * 2.0 * y / (self.sigma_vos * _SQRT_2PI), _BER_PANELS * 16
 
 
@@ -224,29 +231,37 @@ def access_fail_prob_fixed(dist, v_os):
     return float(out[0]) if scalar else out
 
 
-def _ber_quad(mu, sigma, offset):
-    """BER of one (mu, sigma) pair by adaptive quadrature over v."""
-    from scipy.integrate import quad  # fallback only: keeps scipy.integrate off start-up
-
-    lo = offset.mu_vos - 8.0 * offset.sigma_vos
-    hi = offset.mu_vos + 8.0 * offset.sigma_vos
-    inv = 1.0 / (offset.sigma_vos * _SQRT_2PI)
-
-    def integrand(v):
-        w = inv * math.exp(-((v - offset.mu_vos) ** 2) / (2.0 * offset.sigma_vos**2))
-        if v <= 0.0:
-            return 0.0
-        return w * float(ndtr((math.sqrt(v) - mu) / sigma))
-
-    points = [0.0] if lo < 0.0 < hi else None
-    result = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200,
-                  points=points, full_output=1)
-    if len(result) > 3:
-        raise DomainError(
-            f"offset quadrature did not converge: achieved abs error {result[1]:.3e} "
-            f"({result[3].strip()})"
-        )
-    return float(result[0])
+def _ber_steep(mu, sigma, offset):
+    """BER of (mu, sigma) arrays whose CDF step is too steep for the rules in
+    y, over the other Gaussian: with y = mu + sigma*z, the integral over z of
+    phi(z) P(V in W, V > y**2), W the offset window clipped at 0 V. Below
+    z_lo = (sqrt(min W) - mu)/sigma it is Phi(z_lo) P(V in W) in closed form;
+    the 16- and 32-node rules take [z_lo, z_hi] clipped to [-_BER_Z, _BER_Z],
+    in z, where y - mu cannot cancel. A pair on which they differ by more
+    than _BER_REL_TOL of the BER, or of Q(8), the offset mass the window
+    leaves out, where the BER is below it, raises DomainError.
+    """
+    m, s = offset.mu_vos, offset.sigma_vos
+    lo, hi = max(m - 8.0 * s, 0.0), m + 8.0 * s
+    q_hi = ndtr((m - hi) / s)  # P(V > max W)
+    ends = (np.sqrt([lo, hi]) - mu[:, None]) / sigma[:, None]  # (z_lo, z_hi)
+    a, b = np.clip(ends, -_BER_Z, _BER_Z).T[:, :, None]
+    edges = a + (b - a) * np.linspace(0.0, 1.0, _BER_PANELS + 1)
+    (z16, c16), (z32, c32) = (_composite_rule(edges, order) for order in (16, 32))
+    z, c = np.concatenate([z16, z32], axis=1), np.concatenate([c16, c32], axis=1)
+    y = mu[:, None] + sigma[:, None] * z
+    terms = c * np.exp(-0.5 * z * z) / _SQRT_2PI * (ndtr((m - y * y) / s) - q_hi)
+    below = ndtr(ends[:, 0]) * (ndtr((m - lo) / s) - q_hi)
+    k = _BER_PANELS * 16
+    coarse, total = (below + np.add.accumulate(part, axis=1)[:, -1]
+                     for part in (terms[:, :k], terms[:, k:]))
+    gap = np.abs(total - coarse)
+    bad = np.flatnonzero(~(gap <= _BER_REL_TOL * np.maximum(total, q_hi)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"BER rules disagree by {gap[i]:.3e} at mu_delta = {mu[i].item()!r}, "
+                          f"sigma_delta = {sigma[i].item()!r}")
+    return total
 
 
 def access_fail_prob_ber(dist, offset):
@@ -256,8 +271,9 @@ def access_fail_prob_ber(dist, offset):
     no kink at 0 V, so the offset window [mu_vos - 8 sigma, mu_vos + 8 sigma],
     clipped at 0 V, takes composite Gauss-Legendre rules of 16 and 32 nodes on
     _BER_PANELS equal panels in y; their nodes depend only on the offset. The
-    32-node sum is kept where the two agree within _BER_REL_TOL, otherwise the
-    pair falls back to adaptive quadrature over v at 1e-10 relative tolerance.
+    32-node sum is kept where the two agree within _BER_REL_TOL; the pairs
+    where they do not, whose CDF step is too steep for them, are integrated
+    over their own Gaussian instead (_ber_steep), all in one call.
 
     `dist` is one DeltaVDistribution (float out) or a sequence of them
     (array out). Each value is accumulated node by node, so it is the same
@@ -276,8 +292,8 @@ def access_fail_prob_ber(dist, offset):
         coarse, total = (np.add.accumulate(part, axis=1)[:, -1]
                          for part in (terms[:, :k], terms[:, k:]))
         bad = ~(np.abs(total - coarse) <= _BER_REL_TOL * total)
-        for i in np.flatnonzero(bad):
-            total[i] = _ber_quad(mu[i], sigma[i], offset)
+        if bad.any():
+            total[bad] = _ber_steep(mu[bad], sigma[bad], offset)
     return float(total[0]) if scalar else total
 
 

@@ -201,9 +201,11 @@ class TestExitCodes:
         assert f"{device} drain-bias factor" in err and "lambda = 100000.0" in err
 
     @pytest.mark.parametrize("path, value", [(("c_blb",), 1e-300), (("nmos", "i0"), 1e300),
-                                             (("nmos", "k1"), 1e5)])
+                                             (("nmos", "k1"), 1e5), (("nmos", "k1"), 1e30),
+                                             (("nmos", "k1"), 1e300)])
     def test_saturated_ode_read_is_quiet(self, tmp_path, path, value):
-        # every lane's scaled read time lies past the discharge table
+        # every lane's scaled read time lies past the discharge table; at a
+        # huge k1 some reach its flat last panels
         cell = bundled("default_cell.json")
         node = cell
         for key in path[:-1]:
@@ -230,6 +232,19 @@ class TestExitCodes:
                          "--n", "300", "--t-read", "1e300")
         assert np.all(dv == cell.vdd)
         assert rc == 0
+
+    def test_huge_offset_sigma(self, tmp_path, capsys):
+        # finite, but the squares of its BER window are not
+        char, offset = tmp_path / "char.json", tmp_path / "offset.json"
+        char.write_text(json.dumps(CONTRACT_INPUTS["access-characterization"][0]))
+        offset.write_text(json.dumps({"schema": 1, "kind": "offset", "mu_vos": 0.0,
+                                      "sigma_vos": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(tmp_path, "yield", "--characterization", str(char),
+                         "--constraints", "1.5e-10", "--offset", str(offset))
+        assert rc == EXIT_DOMAIN
+        assert "offset sigma_vos 1e+300" in capsys.readouterr().err
 
     def test_overflowing_write_time(self, tmp_path, capsys):
         cell = bundled("default_cell.json")
@@ -580,6 +595,18 @@ class TestYield:
                      "--target", "1e-17")
         assert rc == EXIT_DOMAIN
         assert "below the resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--constraints", "1e-10"], ["--target", "1e-3"]])
+    @pytest.mark.parametrize("record", [{"kind": "access_delta", "mu_delta": 0.3,
+                                         "sigma_delta": 0.012},
+                                        {"kind": "offset", "mu_vos": 0.0, "sigma_vos": 0.03}],
+                             ids=["access_delta", "offset"])
+    def test_wrong_kind_of_characterization(self, tmp_path, capsys, record, flags):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"schema": 1, **record}))
+        rc = run_cli(tmp_path, "yield", "--characterization", str(path), *flags)
+        assert rc == EXIT_PARSE
+        assert f"holds kind {record['kind']!r}" in capsys.readouterr().err
 
     def test_out_of_grid_exit(self, tmp_path):
         char_dir = tmp_path / "char"

@@ -6,28 +6,32 @@ as a plain name (an attribute access `np.exp` counts as a use of `np`).
 `__init__.py` re-exports by importing and is exempt.
 
 Importing scipy.optimize, .integrate, .interpolate or .constants costs more
-than a closed-model command itself, so at import time the package may load
-only the bare `scipy` package and scipy.special's modules; the
-adaptive-quadrature fallbacks import scipy.integrate inside the function
-that needs it. The scipy.special package itself (its `__init__` loads
-scipy's array-API layer) is not loaded either: `sramyield._ufuncs` imports
-only its compiled `_ufuncs` module, and subprocess checks below pin that
-`ndtr` and `ndtri` are the package's own ufuncs in either import order, and
-after a fallback loads the package mid-run. No module imports
-scipy.optimize, at any level: `fit`, the ODE oracles and the closed-model
-commands run without it, and `fit` without scipy.linalg too.
+than a closed-model command itself, so the package imports only the bare
+`scipy` package and scipy.special's compiled `_ufuncs` module, at any level:
+nothing at start-up and nothing mid-run, in a function body. The
+scipy.special package itself (its `__init__` loads scipy's array-API layer)
+is not loaded either: `sramyield._ufuncs` imports only that module, and
+subprocess checks below pin that `ndtr` and `ndtri` are the package's own
+ufuncs in either import order. Every integral runs on the package's own
+fixed Gauss-Legendre rules: `fit`, the ODE oracles, the closed-model
+commands and the inputs that take the deeper rules (steep BER pairs,
+low-vdd write cells, write lanes near r_crit) load neither scipy.integrate
+nor scipy.optimize, and `fit` not scipy.linalg either.
 """
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
 import sramyield
-from sramyield import yieldmodel
-from sramyield.yieldmodel import OffsetVoltageDist
+from sramyield import transients
+from sramyield.devices import gate_polynomial, thermal_voltage
+from sramyield.transients import load_default_cell
 
 MODULES = sorted(p for p in Path(sramyield.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -66,60 +70,55 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def heavy_scipy_imports(source):
-    """scipy modules other than the bare package and scipy.special's that the
-    module imports outside function bodies, that is, when it is itself
-    imported."""
-    found, todo = [], [ast.parse(source)]
+LIGHT_SCIPY = ("scipy", "scipy.special._ufuncs")
+
+
+def scipy_imports(source):
+    """(name, lazy) of every scipy module the module imports, at any level,
+    other than LIGHT_SCIPY; `lazy` marks an import inside a function body,
+    which runs mid-command."""
+    found, todo = [], [(ast.parse(source), False)]
     while todo:
-        node = todo.pop()
+        node, lazy = todo.pop()
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names]
+            found += [(a.name, lazy) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found += [f"{node.module}.{a.name}" for a in node.names]
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            todo.extend(ast.iter_child_nodes(node))
-    return sorted(name for name in found if name.partition(".")[0] == "scipy"
-                  and name != "scipy" and not f"{name}.".startswith("scipy.special."))
+            found += [(f"{node.module}.{a.name}", lazy) for a in node.names]
+        lazy = lazy or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        todo.extend((child, lazy) for child in ast.iter_child_nodes(node))
+    return sorted({(name, lazy) for name, lazy in found
+                   if name.partition(".")[0] == "scipy" and name not in LIGHT_SCIPY})
 
 
 def test_checker_flags_a_heavy_scipy_import():
-    source = ("import scipy, scipy.optimize, scipy.special\nfrom scipy.special import ndtr\n"
-              "from scipy import integrate, special\nimport scipy._lib\n"
-              "def f():\n    from scipy.optimize import brentq\n")
-    assert heavy_scipy_imports(source) == ["scipy._lib", "scipy.integrate", "scipy.optimize"]
+    source = ("import scipy, scipy.optimize, scipy.special\n"
+              "from scipy.special import ndtr, _ufuncs\n"
+              "from scipy import integrate\nimport scipy._lib\n")
+    assert scipy_imports(source) == [(name, False) for name in (
+        "scipy._lib", "scipy.integrate", "scipy.optimize", "scipy.special",
+        "scipy.special.ndtr")]
+
+
+def test_checker_flags_scipy_optimize_at_any_level():
+    source = ("from scipy.special import _ufuncs\n"
+              "def f():\n    import scipy.optimize._optimize\n"
+              "class C:\n    def g(self):\n        from scipy import integrate, optimize\n")
+    assert scipy_imports(source) == [("scipy.integrate", True), ("scipy.optimize", True),
+                                     ("scipy.optimize._optimize", True)]
 
 
 @pytest.mark.parametrize("path", sorted(Path(sramyield.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_level_scipy_is_special_only(path):
-    assert heavy_scipy_imports(path.read_text()) == []
-
-
-def scipy_optimize_imports(source):
-    """Every import of scipy.optimize in the module, function bodies included."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-    return sorted({name for name in found
-                   if name == "scipy.optimize" or name.startswith("scipy.optimize.")})
-
-
-def test_checker_flags_scipy_optimize_at_any_level():
-    source = ("import scipy.special\nfrom scipy import integrate\n"
-              "def f():\n    import scipy.optimize._optimize\n"
-              "class C:\n    def g(self):\n        from scipy import optimize\n")
-    assert scipy_optimize_imports(source) == ["scipy.optimize", "scipy.optimize._optimize"]
+    assert [name for name, lazy in scipy_imports(path.read_text()) if not lazy] == []
 
 
 @pytest.mark.parametrize("path", sorted(Path(sramyield.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_fitting_imports_scipy_optimize(path):
-    # named for the fit's former exemption: now no module, fitting.py included
-    assert scipy_optimize_imports(path.read_text()) == []
+    # named for the fit's former exemption: now no module imports any scipy
+    # module in a function body, scipy.optimize and scipy.integrate included
+    assert [name for name, lazy in scipy_imports(path.read_text()) if lazy] == []
 
 
 CLOSED_COMMANDS = """
@@ -158,8 +157,8 @@ for argv in (
      "--n", "200", "--char-n", "200"],
 ):
     assert main(["--out-dir", out, *argv]) == 0, argv
-heavy = ("scipy.optimize", "scipy.interpolate", "scipy.constants", "scipy._lib._array_api",
-         "scipy.special._basic")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.constants",
+         "scipy._lib._array_api", "scipy.special._basic")
 print([name for name in heavy if name in sys.modules])
 """
 
@@ -237,25 +236,45 @@ def test_ufuncs_are_scipy_specials_in_either_import_order(first):
     assert fresh(script) == "True True True True True"
 
 
-QUAD_AFTER_LOADER = """
+DEEPER_RULES = """
+import json
 import sys
-import sramyield.cli
-from sramyield import mc, yieldmodel
-from sramyield.yieldmodel import DeltaVDistribution, OffsetVoltageDist
+from sramyield import transients, yieldmodel
+from sramyield.cli import main
+from sramyield.transients import load_default_cell, write_time_ode
 
-assert "scipy.special" not in sys.modules and "scipy.integrate" not in sys.modules
-offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
-got = yieldmodel.access_fail_prob_ber(DeltaVDistribution(mu_delta=0.2, sigma_delta=1e-4), offset)
-special = sys.modules["scipy.special"]
-print("scipy.integrate" in sys.modules, mc.ndtri is special.ndtri,
-      yieldmodel.ndtr is special.ndtr, hasattr(special, "gamma"), repr(got))
+calls = []
+for module, name in ((yieldmodel, "_ber_steep"), (transients, "_deep_write_integrals")):
+    real = getattr(module, name)
+    setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+out, vth_p = sys.argv[1], float(sys.argv[2])
+with open(out + "/steep.json", "w") as fh:  # sigma_delta 1e-5 at the bundled offset
+    json.dump({"schema": 1, "kind": "access_characterization",
+               "rows": [{"t_read": 1e-10, "mu_delta": 0.15, "sigma_delta": 1e-5},
+                        {"t_read": 2e-10, "mu_delta": 0.16, "sigma_delta": 1e-5}]}, fh)
+took = []
+for argv in (
+    ["yield", "--characterization", out + "/steep.json", "--constraints", "1e-10"],
+    ["sweep", "--axis", "vdd", "--mode", "write", "--values", "0.7,1e-3", "--char-n", "200"],
+):
+    assert main(["--out-dir", out, *argv]) == 0, argv
+    took.append(sorted(set(calls)))
+    calls.clear()
+assert 0.0 < write_time_ode(load_default_cell(), 0.38, vth_p, 1.0) < 1.0
+took.append(calls)
+print(took, [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules])
 """
 
 
-def test_quad_fallback_after_the_loader():
-    # the steep pair of test_steep_pair_falls_back_to_quad: its fallback
-    # imports scipy.integrate, and with it the whole scipy.special, mid-run
-    offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
-    *flags, got = fresh(QUAD_AFTER_LOADER, flags=["-W", "error::RuntimeWarning"]).split()
-    assert flags == ["True"] * 4
-    assert float(got) == yieldmodel._ber_quad(0.2, 1e-4, offset)
+def test_deeper_rules_load_neither_scipy_integrate_nor_optimize(tmp_path):
+    # a steep BER pair, a write cell at vdd = 1e-3 and a write lane at
+    # 1 - 1e-10 of r_crit each take a deeper fixed rule, in this process
+    cell = load_default_cell()
+    vt = thermal_voltage(cell.temperature_c)
+    r_crit, _ = transients._critical_ratio(cell)
+    target = gate_polynomial(cell.nmos, cell.vwl, vt, 0.38) + math.log((1 - 1e-10) * r_crit)
+    vth_p = brentq(lambda v: gate_polynomial(cell.pmos, cell.vddc, vt, v) - target, 0.0, 1.0,
+                   xtol=1e-15, rtol=1e-15)
+    got = fresh(DEEPER_RULES, tmp_path, repr(vth_p), flags=["-W", "error::RuntimeWarning"])
+    assert got == ("[['_ber_steep'], ['_deep_write_integrals'], ['_deep_write_integrals']] "
+                   "[]")

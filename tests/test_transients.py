@@ -13,7 +13,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
@@ -627,7 +626,9 @@ class TestCellBatches:
 def trip_integrals_reference(cells):
     """_trip_integrals with the positivity scan on every chunk: the net drive
     on a 1025-point grid and the rule nodes, split at min(vddc, vdd), must
-    stay positive."""
+    stay positive. Cells whose 8- and 16-node sums disagree take the deep
+    write rule, as there; test_disagreeing_cells_take_the_deep_rule holds
+    that rule to quad and mpmath."""
     c = transients._columns(cells)
     edges = transients._write_edges(c, [np.minimum(c.vddc, c.vdd)])
     (v8, w8), (v16, w16) = (transients._composite_rule(edges, order) for order in (8, 16))
@@ -650,8 +651,7 @@ def trip_integrals_reference(cells):
     total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]
     for i in np.flatnonzero(~(np.abs(total - coarse) <= transients._WRITE_REL_TOL * total)):
         cell = cells[i]
-        total[i] = transients._trip_quad(transients._columns(cell), cell.beta0,
-                                         [cell.vddc] if cell.vddc < cell.vdd else [])
+        total[i] = transients._deep_write_integrals(cell.write_path, np.array([cell.beta0]))[0]
     return total
 
 
@@ -696,9 +696,35 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+# W(beta0) of vdd-sweep cells of the default cell whose 8- and 16-node sums
+# disagree, by 40-digit mpmath quadrature of the model's drives
+DEEP_TRIP_INTEGRALS = {0.08: 13776.232923045507927, 1e-3: 8499.3039224333408038,
+                       1e-300: 8441.7751639101149532}
+
+
 class TestTripIntegralBound:
     """W(beta0) where the bound skips the grid scan: the same bits, and the
     same error from the same cell, as the scan on every chunk."""
+
+    @pytest.mark.parametrize("vdd", sorted(DEEP_TRIP_INTEGRALS))
+    def test_disagreeing_cells_take_the_deep_rule(self, default_cell, monkeypatch, vdd):
+        calls = []
+        deep = transients._deep_write_integrals
+        monkeypatch.setattr(transients, "_deep_write_integrals",
+                            lambda path, r: calls.append(r.size) or deep(path, r))
+        cell = _sweep_cell(default_cell, "vdd", vdd)
+        c = transients._columns(cell)
+
+        def integrand(v):
+            h_n, h_p = transients._drives(c, v)
+            return 1.0 / (h_n - cell.beta0 * h_p)
+
+        # full_output keeps quad's warnings off: the check is the value
+        w = quad(integrand, cell.v_trip, cell.vdd, epsabs=0.0, epsrel=1e-12, limit=200,
+                 full_output=1)[0]
+        assert cell.w_trip == pytest.approx(DEEP_TRIP_INTEGRALS[vdd], rel=1e-14, abs=0)
+        assert calls == [1]
+        assert cell.w_trip == pytest.approx(w, rel=1e-12, abs=0)
 
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(trip_cells(), min_size=1, max_size=3))
@@ -837,6 +863,8 @@ class TestWriteTimeOde:
             assert got == pytest.approx(cell.c_q * math.exp(-p_n) * w, rel=1e-9, abs=0)
 
     def test_quadrature_fallback_at_r_crit_is_silent(self, default_cell, monkeypatch):
+        # the lane at 1 - 1e-10 of r_crit takes the deep rule: finite, and no
+        # warning from the cancellation in h_n - r*h_p
         cell = default_cell
         nm, pm = cell.nmos, cell.pmos
         vt = thermal_voltage(cell.temperature_c)
@@ -845,12 +873,13 @@ class TestWriteTimeOde:
         vth_p = brentq(lambda v: gate_polynomial(pm, cell.vddc, vt, v) - target, 0.0, 1.0,
                        xtol=1e-15, rtol=1e-15)
         calls = []
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        deep = transients._deep_write_integrals
+        monkeypatch.setattr(transients, "_deep_write_integrals",
+                            lambda path, r: calls.append(r.size) or deep(path, r))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # quad's roundoff IntegrationWarning included
+            warnings.simplefilter("error")
             t = write_time_ode(cell, 0.38, vth_p, 1.0)
-        assert calls and math.isfinite(t)
+        assert calls == [1] and math.isfinite(t)
 
     def test_t_max_must_be_positive(self, default_cell):
         with pytest.raises(DomainError, match="t_max"):

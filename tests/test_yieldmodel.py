@@ -48,6 +48,41 @@ DELTA = DeltaVDistribution(mu_delta=0.3, sigma_delta=0.012)
 WRITE = WriteTimeDistribution(mu_w=1.5, sigma_w=0.12, t0=DEFAULT_T0)
 OFFSET = OffsetVoltageDist(mu_vos=0.07, sigma_vos=0.003)
 
+# (mu_delta, sigma_delta, mu_vos, sigma_vos, BER): pairs whose CDF step is
+# too steep for the rules in y, with the BER by 40-digit mpmath quadrature
+# in y, split at mu + k*sigma_delta and at the offset's sigma points, and
+# checked against the same integral in z. The comment is the relative error
+# of the scipy quad that used to evaluate them, at 1e-10 requested.
+STEEP_PAIRS = [
+    (0.15, 1e-5, 0.0, 0.03, 0.2266273525023415191238875),  # 5.3e-5
+    (0.01, 1e-4, 0.0, 0.03, 0.4986700618841986995859023),  # 2.7e-3
+    (0.34641016151377546, 1e-5, 0.0, 0.03, 3.167125566162307580059008e-5),  # 4.4e-7
+    (0.2024845673131659, 1e-5, 0.002, 0.01, 4.809640556047051464785296e-5),  # 1.3e-6
+    (0.2645751311064591, 1e-5, 0.07, 0.003, 0.499999986701984642276205),  # 5.6e-4
+    (0.01, 1e-4, -0.1, 0.05, 0.02264235509419411052348003),  # 4.8e-3
+    (0.2, 1e-4, 0.05, 0.005, 0.9772463045610034247131064),  # 2.8e-16
+    # z clipped to [-8, 8] loses 2.8e-12 and 2.4e-11 of these two
+    (0.2986636904613616, 1e-3, 0.07, 0.003, 1.719270751224146840950418e-10),  # 3.2e-15
+    (0.3058103987767584, 1e-3, 0.07, 0.003, 7.21399578947833521910914e-15),  # 2.4e-15
+]
+
+
+def ber_quad(mu, sigma, offset):
+    """BER of one (mu, sigma) pair by adaptive quadrature over v, accurate
+    where the fixed-offset CDF is smooth on the window."""
+    lo = offset.mu_vos - 8.0 * offset.sigma_vos
+    hi = offset.mu_vos + 8.0 * offset.sigma_vos
+
+    def integrand(v):
+        if v <= 0.0:
+            return 0.0
+        density = math.exp(-((v - offset.mu_vos) ** 2) / (2.0 * offset.sigma_vos**2))
+        cdf = float(yieldmodel.ndtr((math.sqrt(v) - mu) / sigma))
+        return density / (offset.sigma_vos * math.sqrt(2.0 * math.pi)) * cdf
+
+    return quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200,
+                points=[0.0] if lo < 0.0 < hi else None)[0]
+
 
 class TestConstructors:
     def test_moment_validation(self):
@@ -278,7 +313,6 @@ class TestAccessBer:
     def test_fixed_rule_matches_quad_on_sweep_pairs(self, default_cell, default_variation):
         # (mu, sigma) pairs along the read grids of a vwl sweep, as `sweep`
         # and `yield` evaluate them: the fixed rule stays within 1e-14 of quad
-        # and never needs the fallback
         offset = default_variation.offset
         pairs = []
         for vwl in (0.65, 0.55, 0.45):
@@ -287,7 +321,7 @@ class TestAccessBer:
             table = characterize_access(cell, default_variation, grid, n=200)
             pairs += [table.distribution_at(t) for t in np.geomspace(grid[0], grid[-1], 15)]
         got = access_fail_prob_ber(pairs, offset)
-        want = np.array([yieldmodel._ber_quad(d.mu_delta, d.sigma_delta, offset) for d in pairs])
+        want = np.array([ber_quad(d.mu_delta, d.sigma_delta, offset) for d in pairs])
         assert np.all(got > 0.0)
         assert np.max(np.abs(got - want) / want) < 1e-14
 
@@ -300,9 +334,10 @@ class TestAccessBer:
     def test_fixed_rule_matches_quad_on_any_window(self, offset, monkeypatch):
         dists = [DeltaVDistribution(mu, sigma) for mu in (0.1, 0.25, 0.3, 0.4)
                  for sigma in (0.012, 0.02)]
-        want = [yieldmodel._ber_quad(d.mu_delta, d.sigma_delta, offset) for d in dists]
+        want = [ber_quad(d.mu_delta, d.sigma_delta, offset) for d in dists]
         fallbacks = []
-        monkeypatch.setattr(yieldmodel, "_ber_quad", lambda *a: fallbacks.append(a) or 0.0)
+        monkeypatch.setattr(yieldmodel, "_ber_steep",
+                            lambda mu, *a: fallbacks.append(mu) or np.zeros(mu.size))
         got = access_fail_prob_ber(dists, offset)
         assert fallbacks == []
         # quad itself only promises 1e-10 relative
@@ -313,19 +348,30 @@ class TestAccessBer:
         assert access_fail_prob_ber(DELTA, below) == 0.0
         assert access_fail_prob_ber([DELTA, DELTA], below).tolist() == [0.0, 0.0]
 
-    def test_steep_pair_falls_back_to_quad(self, monkeypatch):
+    def test_steep_pairs_match_mpmath(self, monkeypatch):
         # a tiny sigma_delta puts the whole CDF step inside one panel, where
-        # the 16- and 32-node rules disagree: that pair, and only that one,
-        # goes to quad
-        offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
-        steep = DeltaVDistribution(mu_delta=0.2, sigma_delta=1e-4)
+        # the 16- and 32-node rules in y disagree: that pair, and only that
+        # one, is integrated in z, with the bits it gets alone
         calls = []
-        ber_quad = yieldmodel._ber_quad
-        monkeypatch.setattr(yieldmodel, "_ber_quad",
-                            lambda *a: calls.append(a) or ber_quad(*a))
-        got = access_fail_prob_ber([DELTA, steep], offset)
-        assert calls == [(0.2, 1e-4, offset)]
-        assert got[1] == ber_quad(0.2, 1e-4, offset)
+        steep = yieldmodel._ber_steep
+        monkeypatch.setattr(yieldmodel, "_ber_steep",
+                            lambda mu, *a: calls.append(mu.size) or steep(mu, *a))
+        for mu, sigma, mu_vos, sigma_vos, want in STEEP_PAIRS:
+            offset = OffsetVoltageDist(mu_vos=mu_vos, sigma_vos=sigma_vos)
+            pair = DeltaVDistribution(mu_delta=mu, sigma_delta=sigma)
+            got = access_fail_prob_ber([DELTA, pair, DELTA], offset)
+            assert calls == [1]
+            assert got[1] == pytest.approx(want, rel=1e-12, abs=0)
+            assert access_fail_prob_ber(pair, offset) == got[1]
+            calls.clear()
+
+    def test_steep_pair_far_below_the_window_truncation(self):
+        # mu**2 on the window's upper edge: a BER of 2.4e-19, far below the
+        # Q(8) = 6.2e-16 of offset mass the window leaves out, where the
+        # rules in z agree only to their absolute floor
+        offset = OffsetVoltageDist(mu_vos=0.05, sigma_vos=0.005)
+        got = access_fail_prob_ber(DeltaVDistribution(mu_delta=0.3, sigma_delta=1e-6), offset)
+        assert got == pytest.approx(2.420128182525833697142369e-19, rel=1e-11, abs=0)
 
     def test_against_joint_monte_carlo(self):
         pf = access_fail_prob_ber(DELTA, OFFSET)
