@@ -35,18 +35,19 @@ class ModelInapplicableError(DomainError):
     """The closed-form model's assumptions fail for this configuration."""
 
 
-def domain(low=None, *, closed=False, **field_kwargs):
-    """A dataclass field that must be finite and, given `low`, above it (at or
-    above it if `closed`); other keywords pass through to `dataclasses.field`."""
-    metadata = {**field_kwargs.pop("metadata", {}), "domain": (low, closed)}
+def domain(low=None, *, closed=False, high=None, **field_kwargs):
+    """A dataclass field that must be finite, given `low` above it (at or
+    above it if `closed`) and given `high` at or below it; other keywords pass
+    through to `dataclasses.field`."""
+    metadata = {**field_kwargs.pop("metadata", {}), "domain": (low, closed, high)}
     return dataclasses.field(metadata=metadata, **field_kwargs)
 
 
 def check_domains(obj):
     """DomainError for the first declared field of `obj` outside its domain."""
-    for name, above, bound in _DOMAINS.get(type(obj)) or _domain_rows(type(obj)):
+    for name, above, below, bound in _DOMAINS.get(type(obj)) or _domain_rows(type(obj)):
         value = getattr(obj, name)
-        if not above < value < _INF:  # NaN and both infinities fail it too
+        if not above < value < below:  # NaN and both infinities fail it too
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             raise DomainError(f"{name} must be {bound}, got {value}")
@@ -58,14 +59,18 @@ _DOMAINS = {}
 
 
 def _domain_rows(cls):
-    """(name, above, bound) of each declared field of `cls`, kept in _DOMAINS: a
-    value is in its domain iff above < value < inf, `above` being an open bound,
-    the float just below a closed one or -inf; `bound` as messages state it."""
+    """(name, above, below, bound) of each declared field of `cls`, kept in
+    _DOMAINS: a value is in its domain iff above < value < below, `above`
+    being an open lower bound, the float just below a closed one or -inf, and
+    `below` the float just above `high` or inf; `bound` as messages state it."""
     rows = []
     for f in dataclasses.fields(cls):
         if "domain" in f.metadata:
-            low, closed = f.metadata["domain"]
+            low, closed, high = f.metadata["domain"]
             above = -_INF if low is None else math.nextafter(low, -_INF) if closed else low
-            rows.append((f.name, above, f"{'>=' if closed else '>'} {low}"))
+            below = _INF if high is None else math.nextafter(high, _INF)
+            bound = " and ".join(([] if low is None else [f"{'>=' if closed else '>'} {low}"])
+                                 + ([] if high is None else [f"<= {high}"]))
+            rows.append((f.name, above, below, bound))
     _DOMAINS[cls] = rows = tuple(rows)
     return rows

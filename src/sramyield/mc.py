@@ -49,10 +49,12 @@ _PHILOX = threading.local()  # one generator per thread, reset for every block
 class VariationSpec(Record):
     """Gaussian threshold variation plus sense-amp offset, with the RNG seed."""
 
-    vth_n_mean: float = domain()
-    vth_n_sigma: float = domain(0.0)
-    vth_p_mean: float = domain()
-    vth_p_sigma: float = domain(0.0)
+    # threshold bounds far outside any device: a mean of 1e300 V overflows
+    # the gate polynomial
+    vth_n_mean: float = domain(-5.0, closed=True, high=5.0)
+    vth_n_sigma: float = domain(0.0, high=1.0)
+    vth_p_mean: float = domain(-5.0, closed=True, high=5.0)
+    vth_p_sigma: float = domain(0.0, high=1.0)
     offset: OffsetVoltageDist
     seed: int
 

@@ -50,7 +50,7 @@ _WRITE_GRADING = 10  # panels halving towards v*, per side
 _WRITE_DEEP_GRADING = 40  # the same, in the deep rule: 16 nodes, where 8 and 16 disagree
 _WRITE_REL_TOL = 1e-12
 _WRITE_CHUNK = 16384  # lanes per pass of write_time_ode's node sums
-_FMINBOUND_MAX_EVALS = 500  # scipy's maxiter default for method="bounded"
+_WRITE_T_MAX_FACTOR = 100.0  # default_write_t_max, in nominal closed write times
 
 
 def _gauss_legendre(order):
@@ -114,11 +114,9 @@ class CellConfig(Record):
     after any assist; `apply_assist` produces modified copies. Construction
     checks each field's declared domain, the rules between fields
     (polarities, the v_trip band, the boost headroom) and that the drain
-    factors stay finite; the write integral at
-    the nominal contention ratio, and the check that the pull-down stays
-    ahead on the whole path (by a bound where it settles it, else by a
-    scan), wait for the first `w_trip` read, so cells that only serve reads
-    never pay for them.
+    factors stay finite; the write integral at the nominal contention ratio,
+    and the check that beta0 stays below the critical ratio, wait for the
+    first `w_trip` read, so cells that only serve reads never pay for them.
     """
 
     nmos: DeviceParams
@@ -197,9 +195,10 @@ class CellConfig(Record):
     @cached_property
     def write_path(self):
         """What every write_time_ode call on this cell shares, computed once:
-        r_crit (_critical_ratio), the cuts of the path, its constants c
-        (_columns) and per rule order (8, 16) the weights, h_n and h_p; deep()
-        builds the deep rule on first use, as few lanes need it."""
+        r_crit and v* (_critical_ratio: exact, from the drives at two
+        points), the cuts of the path, its constants c (_columns) and per
+        rule order (8, 16) the weights, h_n and h_p; deep() builds the deep
+        rule on first use, as few lanes need it."""
         r_crit, v_star = _critical_ratio(self)
         cuts = [v for v in (self.vddc, v_star) if self.v_trip < v < self.vdd]
         c = _columns(self)
@@ -430,8 +429,8 @@ def write_time_closed(cell, vth_n):
     its nominal value beta0 (CellConfig.w_trip), so only the access-transistor
     polynomial varies per sample and at nominal thresholds the two agree.
     Raises ModelInapplicableError when the frozen pull-up overpowers the
-    pull-down anywhere on the integration path (_trip_integrals says where it
-    looks). Takes one cell or a sequence.
+    pull-down somewhere on the integration path, beta0 >= r_crit
+    (_trip_integrals). Takes one cell or a sequence.
     """
     c = _columns(cell)
     w = cell.w_trip if isinstance(cell, CellConfig) else _trip_integrals(cell, c)[:, None]
@@ -473,43 +472,37 @@ def _trip_integrals(cells, c=None):
 
     It sums 8- and 16-node composite rules on [v_trip, vdd], split at vddc,
     the kink of h_p, if some cell has it on the path; where the two rules
-    disagree, the cell's deep write rule decides. The net drive must stay
-    positive on the rule nodes and on a 1025-point grid. With DIBL >= 0 on both devices,
-    h_n rises and h_p falls along the path, so the net drive is least at
-    v_trip: where it exceeds 1e-9 of h_n(vdd) + beta0*h_p(v_trip), with both
-    drives at v_trip normal floats, no node of either can round to <= 0. So
-    one _drives call evaluates the rule nodes, v_trip and vdd, and the grid is
-    evaluated only for a sequence with a cell this bound does not settle. A
-    failing cell raises; the first one does if several fail. `c` is
-    _columns(cells), if the caller has it.
+    disagree, the cell's deep write rule decides. One _drives call evaluates
+    the rule nodes and the candidates of _ratio_candidates. A cell fails if
+    v_trip >= vdd, if beta0 is not below r_crit, the least h_n/h_p on the
+    path (the test write_time_ode applies to each lane), or if the net drive
+    at a rule node is not positive; the message names v*, where the ratio is
+    least. The first failing cell raises. `c` is _columns(cells), if the
+    caller has it.
     """
     c = _columns(cells) if c is None else c
     edges = _write_edges(c, [np.minimum(c.vddc, c.vdd)] if np.any(c.vddc < c.vdd) else [])
     (v8, w8), (v16, w16) = (_composite_rule(edges, order) for order in (8, 16))
-    v = np.concatenate([c.v_trip, c.vdd, v8, v16], axis=-1)
+    candidates = _ratio_candidates(c)
+    v = np.concatenate([candidates, v8, v16], axis=-1)
     h_n, h_p = _drives(c, v)
-    net = h_n - c.beta0 * h_p
-    proved = ((np.minimum(c.nmos.dibl, c.pmos.dibl) >= 0.0) & (c.v_trip < c.vdd)
-              & (np.minimum(h_n[:, :1], h_p[:, :1]) >= 1e-290)
-              & (net[:, :1] > 1e-9 * (h_n[:, 1:2] + c.beta0 * h_p[:, :1])))
-    if not proved.all():
-        v = np.concatenate([_linspace(c.v_trip, c.vdd, 1025), v[:, 2:]], axis=-1)
-        h_n, h_p = _drives(c, v)
-        net = h_n - c.beta0 * h_p
-        failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(np.min(net, axis=-1) > 0.0))
-        if failing.size:
-            i = failing[0]
-            cell = cells[i]
-            if not cell.v_trip < cell.vdd:
-                raise ModelInapplicableError(
-                    f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
+    split = candidates.shape[-1]
+    r_crit, v_star = _least_ratio(candidates, h_n[:, :split], h_p[:, :split])
+    net = h_n[:, split:] - c.beta0 * h_p[:, split:]
+    failing = np.flatnonzero(~(c.v_trip < c.vdd)[:, 0] | ~(c.beta0[:, 0] < r_crit)
+                             | ~(np.min(net, axis=-1) > 0.0))
+    if failing.size:
+        i = failing[0]
+        cell = cells[i]
+        if not cell.v_trip < cell.vdd:
             raise ModelInapplicableError(
-                "pull-up overpowers pull-down in the closed write model "
-                f"near v_q = {v[i, int(np.argmin(net[i]))]:.4f} V; closed write times are undefined"
-            )
-    split = v.shape[-1] - w16.shape[-1]
-    coarse = np.add.accumulate(w8 / net[:, split - w8.shape[-1]:split], axis=-1)[:, -1]
-    total = np.add.accumulate(w16 / net[:, split:], axis=-1)[:, -1]
+                f"v_trip {cell.v_trip} is not below the write start voltage vdd {cell.vdd}")
+        raise ModelInapplicableError(
+            "pull-up overpowers pull-down in the closed write model "
+            f"near v_q = {v_star[i]:.4f} V; closed write times are undefined"
+        )
+    coarse = np.add.accumulate(w8 / net[:, :w8.shape[-1]], axis=-1)[:, -1]
+    total = np.add.accumulate(w16 / net[:, w8.shape[-1]:], axis=-1)[:, -1]
     for i in np.flatnonzero(~(np.abs(total - coarse) <= _WRITE_REL_TOL * total)):
         total[i] = _deep_write_integrals(cells[i].write_path, c.beta0[i])[0]
     return total
@@ -574,101 +567,60 @@ def write_time_ode(cell, vth_n, vth_p, t_max):
     return float(t) if t.ndim == 0 else t
 
 
+def _ratio_candidates(c):
+    """v_trip and x along a new last axis, for _columns `c`: the points where
+    h_n/h_p can be least on the write path [v_trip, e], e = min(vdd, vddc).
+
+    With a = k1_n/vt and b = k1_p/vt, the log-slope of the ratio is
+    g(v) = A + a/expm1(a*v) + b/expm1(b*(vddc - v)), A the sum of the DIBL
+    terms lambda/(n*vt). Both 1/expm1 terms are convex, so g is convex and
+    +inf at 0 and at vddc: if A >= 0, g > 0 and x = v_trip; else the least
+    ratio is at v_trip, at e or at the upper zero of g. As b/expm1(b*d) >
+    1/d - b/2, g > 0 within 1/(b/2 - A) of vddc, so Newton steps start at e
+    or there, right of that zero, and walk down to it (a convex g lies above
+    its tangents). They stop when they stall, would leave the path, or meet
+    g' <= 0 (or a slope that overflows); x is the last point they reached.
+    """
+    nm, pm, vt = c.nmos, c.pmos, c.vt
+    big_a = nm.dibl / (nm.n * vt) + pm.dibl / (pm.n * vt)
+    x, active = c.v_trip, big_a < 0.0
+    if np.any(active):  # else no steps: x = v_trip
+        a, b = nm.k1 / vt, pm.k1 / vt
+        start = np.minimum(np.minimum(c.vdd, c.vddc),
+                           c.vddc - 1.0 / (0.5 * b - np.minimum(big_a, 0.0)))
+        active = active & (start > c.v_trip)
+        x = np.where(active, start, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # an expm1 of inf gives a term of 0
+            while np.any(active):
+                q, p = a / np.expm1(a * x), b / np.expm1(b * (c.vddc - x))
+                slope = p * (b + p) - q * (a + q)  # g'(x)
+                step = x - (big_a + q + p) / slope
+                active = active & (slope > 0.0) & (step < x) & (step >= c.v_trip)
+                x = np.where(active, step, x)
+    return np.concatenate([np.atleast_1d(c.v_trip), np.atleast_1d(x)], axis=-1)
+
+
+def _least_ratio(v, h_n, h_p):
+    """(r_crit, v*): the lesser h_n/h_p at the two points along the last axis
+    of v, and the point where it is, the first on a tie."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # h_p = 0 at v = vddc
+        ratio = h_n / h_p
+    second = ratio[..., 1] < ratio[..., 0]
+    return np.where(second, ratio[..., 1], ratio[..., 0]), np.where(second, v[..., 1], v[..., 0])
+
+
 def _critical_ratio(cell):
-    """(r_crit, v*): the minimum of h_n/h_p on the write path and where it is.
-
-    A grid minimum only bounds r_crit from above, so the grid argmin is
-    refined by a bounded scalar minimisation over its neighbouring cells.
-    """
+    """(r_crit, v*): the minimum of h_n/h_p on the write path and where it is,
+    exact (_ratio_candidates): floats for one cell, arrays for a sequence."""
     c = _columns(cell)
-    grid = np.linspace(c.v_trip, min(c.vdd, c.vddc), 1025)
-    with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
-        ratio = np.divide(*_drives(c, grid))
-    i = int(np.argmin(ratio))
-    x, fun = _fminbound(lambda v: float(np.divide(*_drives(c, v))),
-                        grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], xatol=1e-15)
-    if fun < ratio[i]:
-        return fun, x
-    return ratio[i], grid[i]
+    v = _ratio_candidates(c)
+    r_crit, v_star = _least_ratio(v, *_drives(c, v))
+    if isinstance(cell, CellConfig):
+        return float(r_crit), float(v_star)
+    return r_crit, v_star
 
 
-def _sign(d):
-    """np.sign(d) + (d == 0) of a number: -1.0 below zero, else 1.0 (_fminbound
-    passes no nan: its steps stay finite between finite bounds)."""
-    return -1.0 if d < 0.0 else 1.0
-
-
-def _fminbound(func, x1, x2, xatol):
-    """(x, f(x)) at a minimum of func on [x1, x2] by Brent's bounded method.
-
-    A line-for-line port of scipy.optimize's _minimize_scalar_bounded, the
-    method="bounded" of minimize_scalar: the same golden-section and parabolic
-    steps, tolerances, evaluation order and 500-evaluation cap, so the same
-    bits, without importing scipy.optimize (and its start-up cost) on the ODE
-    write path. The bounds must be finite with x1 <= x2.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _FMINBOUND_MAX_EVALS:
-            break
-    return xf, fx
-
-
-def default_write_t_max(cell, factor=100.0):
-    """Censoring horizon: `factor` times the nominal closed-form write time."""
-    return factor * float(write_time_closed(cell, cell.nmos.vth_nominal))
+def default_write_t_max(cell):
+    """Censoring horizon: _WRITE_T_MAX_FACTOR times the nominal closed-form
+    write time."""
+    return _WRITE_T_MAX_FACTOR * float(write_time_closed(cell, cell.nmos.vth_nominal))

@@ -220,6 +220,36 @@ class TestExitCodes:
                          "--cell", str(cell_json))
         assert rc == 0
 
+    @pytest.mark.parametrize("field, argv", [
+        ("vth_n_mean", ["mc", "--mode", "access", "--n", "300", "--t-read", "1.2e-10"]),
+        ("vth_n_mean", ["characterize", "--mode", "write"]),
+        ("vth_p_sigma", ["mc", "--oracle", "ode", "--mode", "write", "--n", "300",
+                         "--t-write", "2e-11"]),
+    ])
+    def test_huge_threshold_rejected(self, tmp_path, capsys, field, argv):
+        # a threshold of 1e300 V would overflow the gate polynomial
+        var = bundled("default_variation.json")
+        var[field] = 1e300
+        var_json = tmp_path / "variation.json"
+        var_json.write_text(json.dumps(var))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(tmp_path / "out", *argv, "--variation", str(var_json))
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        assert f"error: {field} must be " in err and "Traceback" not in err
+
+    def test_failing_write_cell_names_v_star(self, tmp_path, capsys):
+        # nmos lambda = -0.5: h_n/h_p is least inside the write path, at v*
+        cell = bundled("default_cell.json")
+        cell["nmos"]["lambda"] = -0.5
+        cell_json = tmp_path / "cell.json"
+        cell_json.write_text(json.dumps(cell))
+        rc = run_cli(tmp_path, "characterize", "--mode", "write", "--cell", str(cell_json))
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN, err
+        assert "pull-up overpowers pull-down in the closed write model near v_q = 0.4479 V" in err
+
     @pytest.mark.parametrize("oracle", ["closed", "ode"])
     def test_huge_read_time_is_quiet(self, tmp_path, oracle):
         # exp(p)*t/c_blb overflows to inf, which both oracles saturate at vdd
@@ -765,9 +795,9 @@ class TestSweep:
         indices = [i for start, count in drawn for i in range(start, start + count)]
         assert sorted(indices) == list(range(per_cell))
 
-    # cells whose pull-up check takes the 1025-point scan of _trip_integrals
-    # (a negative pmos lambda; an overpowering pull-up): sha256 of sweep.csv,
-    # as the scan on every chunk wrote it, or the error
+    # cells whose pull-up check once took a 1025-point scan (a negative pmos
+    # lambda; an overpowering pull-up): sha256 of sweep.csv, as the scan on
+    # every chunk wrote it, or the error
     @pytest.mark.parametrize("key, value, rc, expect", [
         ("lambda", -0.02, 0, "686599fb44733e136a341002f22ed25e6a2a3ea204f03b0c9326e54f5c370018"),
         ("i0", 1e-4, EXIT_DOMAIN,

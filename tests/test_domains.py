@@ -1,10 +1,10 @@
 """Declared input domains: one table of every checked numeric field.
 
-Each row is (class, field, bound, closed): the field must be finite and,
-given a bound, above it (at or above it when closed). One test holds the
-table to the declarations, another holds README's domain table to it, and
-the rest run its rows: NaN and both infinities, a value just past each
-bound, and each closed bound itself.
+Each row is (class, field, bound, closed, high): the field must be finite,
+given a bound above it (at or above it when closed), and given `high` at or
+below it. One test holds the table to the declarations, another holds
+README's domain table to it, and the rest run its rows: NaN and both
+infinities, a value just past each bound, and each closed bound itself.
 """
 
 import dataclasses
@@ -22,37 +22,37 @@ from sramyield.transients import AssistConfig, CellConfig, load_default_cell
 from sramyield.yieldmodel import DeltaVDistribution, OffsetVoltageDist, WriteTimeDistribution
 
 DOMAINS = [
-    (DeviceParams, "i0", 0.0, False),
-    (DeviceParams, "k1", 0.0, False),
-    (DeviceParams, "k2", None, False),
-    (DeviceParams, "dibl", None, False),
-    (DeviceParams, "vth_nominal", None, False),
-    (DeviceParams, "n", 1.0, True),
-    (DeviceParams, "vgs_max", 0.0, False),
-    (OperatingPoint, "vgs", 0.0, True),
-    (OperatingPoint, "vds", 0.0, True),
-    (OperatingPoint, "temperature_c", -273.15, False),
-    (CellConfig, "vdd", 0.0, False),
-    (CellConfig, "vwl", 0.0, True),
-    (CellConfig, "vddc", 0.0, False),
-    (CellConfig, "c_blb", 0.0, False),
-    (CellConfig, "c_q", 0.0, False),
-    (CellConfig, "v_trip", None, False),
-    (CellConfig, "temperature_c", -273.15, False),
-    (AssistConfig, "wl_underdrive", 0.0, True),
-    (AssistConfig, "wl_boost", 0.0, True),
-    (AssistConfig, "cell_vdd_delta", None, False),
-    (VariationSpec, "vth_n_mean", None, False),
-    (VariationSpec, "vth_n_sigma", 0.0, False),
-    (VariationSpec, "vth_p_mean", None, False),
-    (VariationSpec, "vth_p_sigma", 0.0, False),
-    (OffsetVoltageDist, "mu_vos", None, False),
-    (OffsetVoltageDist, "sigma_vos", 0.0, False),
-    (DeltaVDistribution, "mu_delta", 0.0, False),
-    (DeltaVDistribution, "sigma_delta", 0.0, False),
-    (WriteTimeDistribution, "mu_w", 0.0, False),
-    (WriteTimeDistribution, "sigma_w", 0.0, False),
-    (WriteTimeDistribution, "t0", 0.0, False),
+    (DeviceParams, "i0", 0.0, False, None),
+    (DeviceParams, "k1", 0.0, False, None),
+    (DeviceParams, "k2", None, False, None),
+    (DeviceParams, "dibl", None, False, None),
+    (DeviceParams, "vth_nominal", None, False, None),
+    (DeviceParams, "n", 1.0, True, None),
+    (DeviceParams, "vgs_max", 0.0, False, None),
+    (OperatingPoint, "vgs", 0.0, True, None),
+    (OperatingPoint, "vds", 0.0, True, None),
+    (OperatingPoint, "temperature_c", -273.15, False, None),
+    (CellConfig, "vdd", 0.0, False, None),
+    (CellConfig, "vwl", 0.0, True, None),
+    (CellConfig, "vddc", 0.0, False, None),
+    (CellConfig, "c_blb", 0.0, False, None),
+    (CellConfig, "c_q", 0.0, False, None),
+    (CellConfig, "v_trip", None, False, None),
+    (CellConfig, "temperature_c", -273.15, False, None),
+    (AssistConfig, "wl_underdrive", 0.0, True, None),
+    (AssistConfig, "wl_boost", 0.0, True, None),
+    (AssistConfig, "cell_vdd_delta", None, False, None),
+    (VariationSpec, "vth_n_mean", -5.0, True, 5.0),
+    (VariationSpec, "vth_n_sigma", 0.0, False, 1.0),
+    (VariationSpec, "vth_p_mean", -5.0, True, 5.0),
+    (VariationSpec, "vth_p_sigma", 0.0, False, 1.0),
+    (OffsetVoltageDist, "mu_vos", None, False, None),
+    (OffsetVoltageDist, "sigma_vos", 0.0, False, None),
+    (DeltaVDistribution, "mu_delta", 0.0, False, None),
+    (DeltaVDistribution, "sigma_delta", 0.0, False, None),
+    (WriteTimeDistribution, "mu_w", 0.0, False, None),
+    (WriteTimeDistribution, "sigma_w", 0.0, False, None),
+    (WriteTimeDistribution, "t0", 0.0, False, None),
 ]
 CLASSES = list(dict.fromkeys(row[0] for row in DOMAINS))
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -77,7 +77,7 @@ def build(cls, **overrides):
 
 
 def fields_of(cls):
-    return [field for c, field, _, _ in DOMAINS if c is cls]
+    return [field for c, field, *_ in DOMAINS if c is cls]
 
 
 def check_non_finite_rejected(cls, field, value):
@@ -85,8 +85,10 @@ def check_non_finite_rejected(cls, field, value):
         build(cls, **{field: value})
 
 
-def bound_text(bound, closed):
-    return "finite" if bound is None else f"{'>=' if closed else '>'} {bound:g}"
+def bound_text(bound, closed, high):
+    parts = (([] if bound is None else [f"{'>=' if closed else '>'} {bound:g}"])
+             + ([] if high is None else [f"<= {high:g}"]))
+    return " and ".join(parts) or "finite"
 
 
 def test_table_matches_declarations():
@@ -107,14 +109,14 @@ def test_float_fields_are_declared():
 # test_transients.py, through check_non_finite_rejected
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("cls, field", [
-    (cls, field) for cls, field, _, _ in DOMAINS
+    (cls, field) for cls, field, *_ in DOMAINS
     if cls not in (DeviceParams, OperatingPoint, CellConfig)])
 def test_non_finite_rejected(cls, field, value):
     check_non_finite_rejected(cls, field, value)
 
 
 @pytest.mark.parametrize("cls, field, bound, closed", [
-    row for row in DOMAINS if row[2] is not None])
+    row[:4] for row in DOMAINS if row[2] is not None])
 def test_value_past_the_bound_rejected(cls, field, bound, closed):
     past = [math.nextafter(bound, -math.inf), -1e300] + ([] if closed else [bound])
     for value in past:
@@ -126,6 +128,15 @@ def test_value_past_the_bound_rejected(cls, field, bound, closed):
     row[:3] for row in DOMAINS if row[3]])
 def test_closed_bound_accepted(cls, field, bound):
     assert getattr(build(cls, **{field: bound}), field) == bound
+
+
+@pytest.mark.parametrize("cls, field, high", [
+    (cls, field, high) for cls, field, _, _, high in DOMAINS if high is not None])
+def test_upper_bound(cls, field, high):
+    assert getattr(build(cls, **{field: high}), field) == high
+    for value in (math.nextafter(high, math.inf), 1e300):
+        with pytest.raises(DomainError, match=f"^{field} must be .* and <= {high}, got"):
+            build(cls, **{field: value})
 
 
 def test_operating_point_at_zero_bias():
@@ -159,6 +170,6 @@ def readme_domains():
 
 
 def test_readme_table_matches_declarations():
-    expected = [(cls.__name__, field, bound_text(bound, closed))
-                for cls, field, bound, closed in DOMAINS]
+    expected = [(cls.__name__, field, bound_text(bound, closed, high))
+                for cls, field, bound, closed, high in DOMAINS]
     assert sorted(readme_domains()) == sorted(expected)

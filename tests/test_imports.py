@@ -20,6 +20,7 @@ nor scipy.optimize, and `fit` not scipy.linalg either.
 """
 
 import ast
+import json
 import math
 import subprocess
 import sys
@@ -165,6 +166,67 @@ print([name for name in heavy if name in sys.modules])
 
 def test_ode_commands_do_not_load_scipy_optimize(tmp_path):
     assert fresh(ODE_COMMANDS, tmp_path) == "[]"
+
+
+NEWTON_COMMANDS = """
+import sys
+import numpy as np
+from sramyield import transients
+from sramyield.cli import main
+
+interior = []
+real = transients._ratio_candidates
+
+
+def candidates(c):  # records whether the Newton steps moved x off v_trip
+    v = real(c)
+    interior.append(bool(np.any(v[..., 1] > c.v_trip)))
+    return v
+
+
+transients._ratio_candidates = candidates
+out, failing, passing, collapsed = sys.argv[1:]
+took = []
+for argv in (
+    ["mc", "--oracle", "ode", "--mode", "write", "--n", "2000", "--t-write", "2e-11",
+     "--t-max", "1e-9", "--cell", failing],
+    ["mc", "--oracle", "ode", "--mode", "write", "--n", "2000", "--t-write", "2e-11",
+     "--cell", passing],
+    ["sweep", "--axis", "vdd", "--mode", "write", "--values", "0.7,0.6,0.5", "--char-n", "200",
+     "--cell", passing],
+    ["mc", "--oracle", "ode", "--mode", "write", "--n", "2000", "--t-write", "2e-11",
+     "--cell", collapsed],
+    ["sweep", "--axis", "vwl", "--mode", "write", "--values", "0.55,0.5", "--char-n", "200",
+     "--cell", collapsed],
+):
+    assert main(["--out-dir", out, *argv]) == 0, argv
+    took.append(bool(interior) and all(interior))
+    interior.clear()
+print(took, [name for name in ("scipy.optimize", "scipy.integrate") if name in sys.modules])
+"""
+
+
+def test_interior_critical_ratio_is_quiet(tmp_path):
+    # nmos lambda = -0.5 makes the log-slope of h_n/h_p negative at its
+    # constant term, so r_crit is found by Newton steps inside the write path:
+    # on the bundled cell (which fails the closed model, so mc gets a horizon),
+    # with a weaker pull-up, and with vddc below vdd, where the path ends at
+    # vddc and the log-slope is +inf there
+    cells = {}
+    for name, pmos_i0, vddc in (("failing", None, None), ("passing", 7e-10, None),
+                                ("collapsed", 7e-9, 0.45)):
+        cell = json.loads((Path(sramyield.__file__).parent / "data"
+                           / "default_cell.json").read_text())
+        cell["nmos"]["lambda"] = -0.5
+        if pmos_i0 is not None:
+            cell["pmos"]["i0"] = pmos_i0
+        if vddc is not None:
+            cell["vddc"] = vddc
+        cells[name] = tmp_path / f"{name}.json"
+        cells[name].write_text(json.dumps(cell))
+    got = fresh(NEWTON_COMMANDS, tmp_path, cells["failing"], cells["passing"],
+                cells["collapsed"], flags=["-W", "error::RuntimeWarning"])
+    assert got == "[True, True, True, True, True] []"
 
 
 FIT_COMMANDS = """

@@ -9,6 +9,7 @@ suite existed; the implementation has to land on them, not the reverse.
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,7 +36,6 @@ from sramyield.transients import (
     AssistConfig,
     CellConfig,
     _critical_ratio,
-    _fminbound,
     apply_assist,
     default_write_t_max,
     delta_v_closed,
@@ -184,27 +184,6 @@ class TestCellConfig:
         w = cell.w_trip
         assert len(calls) == 1
         assert write_time_closed(cell, 0.38) > 0.0 and cell.w_trip == w and len(calls) == 1
-
-    def test_grid_scan_only_where_the_bound_fails(self, default_cell, quiet_nmos, monkeypatch):
-        # the 1025-point grid is evaluated only for a chunk the bound does not settle
-        widths = []
-        drives = transients._drives
-        monkeypatch.setattr(transients, "_drives",
-                            lambda c, v: widths.append(np.atleast_1d(v).shape[-1]) or drives(c, v))
-        sweep = [_sweep_cell(default_cell, "vdd", v) for v in np.linspace(0.7, 0.35, 351)]
-        transients._trip_integrals(sweep[:10])
-        assert widths and max(widths) < 1025
-        negative = dataclasses.replace(
-            default_cell, pmos=dataclasses.replace(default_cell.pmos, dibl=-0.02))
-        tiny = _sweep_cell(default_cell, "vdd", 1e-300)  # drives below 1e-290
-        overpowered = make_cell(quiet_nmos, pmos=weak_pmos(i0=1e-4))
-        for chunk in ([*sweep[10:13], negative], [sweep[0], tiny], [overpowered]):
-            widths.clear()
-            try:
-                transients._trip_integrals(chunk)
-            except ModelInapplicableError:
-                pass
-            assert max(widths) > 1025
 
 
 class TestAssist:
@@ -624,11 +603,13 @@ class TestCellBatches:
 
 
 def trip_integrals_reference(cells):
-    """_trip_integrals with the positivity scan on every chunk: the net drive
-    on a 1025-point grid and the rule nodes, split at min(vddc, vdd), must
-    stay positive. Cells whose 8- and 16-node sums disagree take the deep
-    write rule, as there; test_disagreeing_cells_take_the_deep_rule holds
-    that rule to quad and mpmath."""
+    """_trip_integrals by a scan, as the package computed it before the exact
+    critical ratio: the net drive on a 1025-point grid and the rule nodes,
+    split at min(vddc, vdd), must stay positive, and a failing cell names the
+    grid point where the net drive is least. Cells whose 8- and 16-node sums
+    disagree take the deep write rule, as there;
+    test_disagreeing_cells_take_the_deep_rule holds that rule to quad and
+    mpmath."""
     c = transients._columns(cells)
     edges = transients._write_edges(c, [np.minimum(c.vddc, c.vdd)])
     (v8, w8), (v16, w16) = (transients._composite_rule(edges, order) for order in (8, 16))
@@ -668,8 +649,8 @@ _DIBL = st.one_of(st.sampled_from([None, None, -0.02, 0.0, 0.02]), st.floats(-0.
 def trip_cells(draw):
     """Cells on the bundled devices: either sign of DIBL, vddc above and below
     vdd (at 2.1 vdd, v_trip = vddc/2 lies past vdd), vdd down to 1e-300
-    (drives about 1e-4*vdd, so 1e-286 is below the bound's 1e-290 floor and
-    1e-284 above it), the pull-up scaled towards and past failure."""
+    (drives about 1e-4*vdd, down to about 1e-304), the pull-up scaled towards
+    and past failure."""
     vdd = draw(st.sampled_from([None] * 6 + [1e-300, 1e-286, 1e-284]))
     vdd = draw(st.floats(0.3, 0.8)) if vdd is None else vdd
     vddc = vdd * draw(st.one_of(st.just(1.0), st.floats(0.85, 1.25), st.just(2.1)))
@@ -702,9 +683,39 @@ DEEP_TRIP_INTEGRALS = {0.08: 13776.232923045507927, 1e-3: 8499.3039224333408038,
                        1e-300: 8441.7751639101149532}
 
 
+FAILING = ("pull-up overpowers pull-down in the closed write model near v_q = {:.4f} V; "
+           "closed write times are undefined")
+
+
+def assert_matches_the_scan(cells):
+    """_trip_integrals of a chunk against trip_integrals_reference, cell by
+    cell: where both accept, the same bits; where beta0 lies outside a 1e-12
+    band around r_crit, the same verdict, a rejection naming v*. The chunk
+    gives each cell's own bits, or raises its first failing cell's error.
+    Returns the chunk's outcome."""
+    alone = []
+    for cell in cells:
+        got = _outcome(lambda: transients._trip_integrals([cell]))
+        want = _outcome(lambda: trip_integrals_reference([cell]))
+        r_crit, v_star = _critical_ratio(cell)
+        if not (isinstance(got, tuple) or isinstance(want, tuple)) or not cell.v_trip < cell.vdd:
+            assert got == want
+        elif not abs(cell.beta0 / r_crit - 1.0) <= 1e-12:
+            assert isinstance(want, tuple)
+            assert got == (ModelInapplicableError, FAILING.format(v_star))
+        fresh = dataclasses.replace(cell)  # w_trip not yet computed
+        assert _outcome(lambda: [fresh.w_trip]) == got
+        alone.append(got)
+    chunk = _outcome(lambda: transients._trip_integrals(cells))
+    failing = [a for a in alone if isinstance(a, tuple)]
+    assert chunk == (failing[0] if failing else [a[0] for a in alone])
+    return chunk
+
+
 class TestTripIntegralBound:
-    """W(beta0) where the bound skips the grid scan: the same bits, and the
-    same error from the same cell, as the scan on every chunk."""
+    """W(beta0) against the 1025-point scan it replaced: a cell fails where
+    beta0 is not below the exact r_crit, and is otherwise integrated to the
+    same bits."""
 
     @pytest.mark.parametrize("vdd", sorted(DEEP_TRIP_INTEGRALS))
     def test_disagreeing_cells_take_the_deep_rule(self, default_cell, monkeypatch, vdd):
@@ -729,49 +740,41 @@ class TestTripIntegralBound:
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(trip_cells(), min_size=1, max_size=3))
     def test_matches_the_scan(self, cells):
-        want = _outcome(lambda: trip_integrals_reference(cells))
-        assert _outcome(lambda: transients._trip_integrals(cells)) == want
-        alone = [_outcome(lambda: trip_integrals_reference([cell])) for cell in cells]
-        if isinstance(want, tuple):  # the first failing cell raises
-            assert want == next(a for a in alone if isinstance(a, tuple))
-        else:
-            assert want == [a[0] for a in alone]
-        for cell, a in zip(cells, alone):
-            fresh = dataclasses.replace(cell)  # w_trip not yet computed
-            assert _outcome(lambda: [fresh.w_trip]) == a
+        assert_matches_the_scan(cells)
 
     @pytest.mark.parametrize("chunk", [
-        [("vdd", 0.7), ("vdd", 0.5), ("vdd", 1e-284)],  # settled by the bound
-        [("vdd", 0.5), ("vdd", 1e-300)],  # drives below 1e-290: scanned
+        [("vdd", 0.7), ("vdd", 0.5), ("vdd", 1e-284)],
+        [("vdd", 0.5), ("vdd", 1e-300)],  # drives about 1e-304
         [("vdd", 0.5), ("i0", 1e-4), ("i0", 2e-4)],  # the first overpowered cell raises
     ])
     def test_sweep_chunks_match_the_scan(self, default_cell, chunk):
         cells = [_sweep_cell(default_cell, "vdd", value) if key == "vdd" else
                  dataclasses.replace(default_cell, pmos=dataclasses.replace(
                      default_cell.pmos, i0=value)) for key, value in chunk]
-        want = _outcome(lambda: trip_integrals_reference(cells))
-        assert _outcome(lambda: transients._trip_integrals(cells)) == want
-        assert isinstance(want, tuple) == (chunk[-1][0] == "i0")
+        got = assert_matches_the_scan(cells)
+        assert isinstance(got, tuple) == (chunk[-1][0] == "i0")
 
     def test_cells_at_the_edge_of_failure(self, default_cell):
-        # pmos i0 bisected to adjacent floats where net(v_trip) changes sign:
-        # inside the bound's margin on both sides, so the scan decides both
+        # pmos i0 bisected to adjacent floats where beta0 < r_crit flips: the
+        # cell below it is integrated, the one above it fails at v* = v_trip
         def cell(i0):
             return dataclasses.replace(
                 default_cell, pmos=dataclasses.replace(default_cell.pmos, i0=i0))
 
-        def net_at_trip(i0):
-            c = transients._columns([cell(i0)])
-            h_n, h_p = transients._drives(c, c.v_trip)
-            return (h_n - c.beta0 * h_p).item()
+        def below_r_crit(i0):
+            c = cell(i0)
+            return c.beta0 < _critical_ratio(c)[0]
 
         lo, hi = default_cell.pmos.i0, 1e-4
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if net_at_trip(mid) > 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if below_r_crit(mid) else (lo, mid)
+        w = transients._trip_integrals([cell(lo)])
+        assert 0.0 < w[0] < math.inf
+        with pytest.raises(ModelInapplicableError, match=re.escape(
+                FAILING.format(default_cell.v_trip))):
+            transients._trip_integrals([cell(hi)])
         for i0 in (lo, hi):
-            want = _outcome(lambda: trip_integrals_reference([cell(i0)]))
-            assert _outcome(lambda: transients._trip_integrals([cell(i0)])) == want
-        assert isinstance(want, tuple)  # net(v_trip) <= 0 fails the scan
+            assert_matches_the_scan([cell(i0)])
 
 
 class TestWriteTimeOde:
@@ -840,7 +843,7 @@ class TestWriteTimeOde:
             assert v_star > cell.v_trip + 0.1
         h_n, h_p = drives(v_star)
         r_crit = h_n / h_p
-        # a grid minimum alone would overestimate an interior minimum
+        # exact at an interior minimum too, where a grid would overestimate it
         assert _critical_ratio(cell)[0] == pytest.approx(r_crit, rel=1e-13, abs=0)
         p_p = gate_polynomial(pm, cell.vddc, vt, 0.38)
 
@@ -982,95 +985,85 @@ class TestWritePath:
             assert h_n.tolist() == ref_n.tolist() and h_p.tolist() == ref_p.tolist()
 
 
-class TestFminboundPort:
-    """The bounded minimiser of _critical_ratio against scipy's
-    minimize_scalar(method="bounded"): x, f(x) and every evaluation point."""
+def log_slope_offset(cell):
+    """A, the constant term of d ln(h_n/h_p)/dv: the sum of the DIBL terms."""
+    vt = thermal_voltage(cell.temperature_c)
+    return cell.nmos.dibl / (cell.nmos.n * vt) + cell.pmos.dibl / (cell.pmos.n * vt)
+
+
+def critical_ratio_reference(cell):
+    """The least h_n/h_p on [v_trip, min(vdd, vddc)], from the model's
+    currents: a 4097-point grid, refined by scipy's bounded minimiser on the
+    grid cells beside its least point."""
+    nm, pm = cell.nmos, cell.pmos
+    vt = thermal_voltage(cell.temperature_c)
+
+    def ratio(v):
+        with np.errstate(divide="ignore"):  # h_p = 0 at v = vddc
+            return (_current_proposed(nm, cell.vwl, v, vt, cell.vwl)
+                    / _current_proposed(pm, cell.vddc, np.maximum(cell.vddc - v, 0.0), vt,
+                                        cell.vddc))
+
+    grid = np.linspace(cell.v_trip, min(cell.vdd, cell.vddc), 4097)
+    values = ratio(grid)
+    i = int(np.argmin(values))
+    refined = minimize_scalar(lambda v: float(ratio(v)), method="bounded",
+                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                              options={"xatol": 1e-300})
+    return min(values[i], refined.fun)
+
+
+class TestCriticalRatio:
+    """_critical_ratio against critical_ratio_reference, within 1e-13; where
+    A >= 0 the ratio rises along the path, so v* is v_trip and r_crit the
+    ratio there, bit for bit. A sequence of cells gives each cell's bits."""
 
     @staticmethod
-    def both(f, lo, hi, xatol):
-        """(port result, its evaluation points, scipy result, its points)."""
-        port_calls, ref_calls = [], []
-        port = _fminbound(lambda x: port_calls.append(x) or f(x), lo, hi, xatol)
-        with np.errstate(all="ignore"):  # scipy's numpy scalars meet inf and nan values
-            ref = minimize_scalar(lambda x: ref_calls.append(x) or f(x), bounds=(lo, hi),
-                                  method="bounded", options={"xatol": xatol})
-        return port, port_calls, (ref.x, ref.fun), ref_calls
+    def check(cells):
+        r_crit, v_star = _critical_ratio(cells)
+        for cell, r, v in zip(cells, r_crit.tolist(), v_star.tolist()):
+            assert (r, v) == _critical_ratio(cell)
+            end = min(cell.vdd, cell.vddc)
+            if log_slope_offset(cell) >= 0.0 or not cell.v_trip < end:
+                vt = thermal_voltage(cell.temperature_c)
+                at_trip = (_current_proposed(cell.nmos, cell.vwl, cell.v_trip, vt, cell.vwl)
+                           / _current_proposed(cell.pmos, cell.vddc, cell.vddc - cell.v_trip,
+                                               vt, cell.vddc))
+                assert v == cell.v_trip and r == at_trip
+            if cell.v_trip < end:
+                assert cell.v_trip <= v <= end
+                assert abs(r / critical_ratio_reference(cell) - 1.0) <= 1e-13
 
-    def assert_same(self, f, lo, hi, xatol):
-        port, port_calls, ref, ref_calls = self.both(f, lo, hi, xatol)
-        assert np.array_equal(port, ref, equal_nan=True)
-        assert port_calls == ref_calls
-        return port_calls
-
-    def checked_critical_ratio(self, cells, monkeypatch):
-        """_critical_ratio of each cell, every minimisation it runs checked."""
-        port = transients._fminbound
-        seen = []
-
-        def checked(f, lo, hi, xatol):
-            seen.append(lo)
-            self.assert_same(f, lo, hi, xatol)
-            return port(f, lo, hi, xatol)
-
-        monkeypatch.setattr(transients, "_fminbound", checked)
-        for cell in cells:
-            _critical_ratio(cell)
-        return len(seen)
-
-    def test_bundled_cell(self, default_cell, monkeypatch):
-        assert self.checked_critical_ratio([default_cell], monkeypatch) == 1
+    def test_bundled_cell(self, default_cell):
+        self.check([default_cell])
 
     @pytest.mark.parametrize("axis, values", [
         ("vdd", np.linspace(0.7, 0.35, 351)),  # the design benchmark's sweeps
         ("vwl", np.linspace(0.65, 0.45, 81)),
     ])
-    def test_design_sweep_cells(self, default_cell, monkeypatch, axis, values):
-        cells = [_sweep_cell(default_cell, axis, float(f"{v:.4f}")) for v in values]
-        assert self.checked_critical_ratio(cells, monkeypatch) == len(cells)
+    def test_design_sweep_cells(self, default_cell, axis, values):
+        self.check([_sweep_cell(default_cell, axis, float(f"{v:.4f}")) for v in values])
 
-    OBJECTIVES = {
-        "quadratic": lambda x, c, s: s * s * (x - c) ** 2 - c,
-        "cos": lambda x, c, s: math.cos(8.0 * s * x + c),
-        "flat": lambda x, c, s: max(abs(x - c) - 0.3 * abs(s), 0.0),
-        "steps": lambda x, c, s: math.floor(4.0 * (x - c) ** 2),  # ties within a step
-        "monotone": lambda x, c, s: s * x,  # minimum at an end
-        "exp": lambda x, c, s: math.exp(s * (x - c)),
-        "constant": lambda x, c, s: c,
-        "kink": lambda x, c, s: abs(s) * abs(x - c),
-        "quartic": lambda x, c, s: s * s * (x - c) ** 4,
-        "wall": lambda x, c, s: math.inf if x > c else (x - c + s) ** 2,  # h_p = 0 at vddc
-        "nan": lambda x, c, s: math.nan if x > c else s * x,
-    }
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(trip_cells(), min_size=1, max_size=3))
+    def test_trip_cells(self, cells):
+        self.check(cells)
 
-    @settings(max_examples=600, deadline=None)
-    @given(kind=st.sampled_from(sorted(OBJECTIVES)), c=st.floats(-2.0, 2.0),
-           s=st.floats(-3.0, 3.0), lo=st.floats(-2.0, 2.0),
-           width=st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-300, 1e-12])),
-           xatol=st.sampled_from([0.0, 1e-15, 1e-8, 1e-5, 0.1]))
-    def test_matches_scipy_on_synthetic_objectives(self, kind, c, s, lo, width, xatol):
-        objective = self.OBJECTIVES[kind]
-        self.assert_same(lambda x: objective(x, c, s), lo, lo + width, xatol)
-
-    @pytest.mark.parametrize("xatol", [1e-5, 0.1])
-    def test_first_stopping_test_at_its_threshold(self, xatol):
-        # brackets about 1.0787 * xatol wide stop before the first step or take it
-        for width in np.linspace(1.07, 1.09, 41) * xatol:
-            self.assert_same(lambda x: (x - 0.3 * xatol) ** 2, 0.0, float(width), xatol)
-
-    def test_degenerate_bracket_evaluates_once(self):
-        calls = self.assert_same(lambda x: (x - 1.0) ** 2, 0.25, 0.25, 1e-15)
-        assert calls == [0.25]
-
-    def test_evaluation_cap(self):
-        # |x| with xatol = 0 shrinks towards 0 without ever meeting the tolerance
-        calls = self.assert_same(abs, -1.0, 1.0, 0.0)
-        assert len(calls) == transients._FMINBOUND_MAX_EVALS == 500
+    @pytest.mark.parametrize("vddc", [0.5, 0.45])
+    def test_interior_minimum_with_negative_dibl(self, default_cell, vddc):
+        # nmos lambda = -0.5 makes A < 0: the least ratio lies inside the path,
+        # at the upper zero of the log-slope; at vddc < vdd, e = vddc
+        nmos = dataclasses.replace(default_cell.nmos, dibl=-0.5)
+        cell = dataclasses.replace(default_cell, nmos=nmos, vddc=vddc)
+        assert log_slope_offset(cell) < 0.0
+        self.check([cell])
+        _, v_star = _critical_ratio(cell)
+        assert cell.v_trip + 0.1 < v_star < vddc
+        if vddc == 0.5:
+            assert f"{v_star:.4f}" == "0.4479"
 
 
 class TestDefaultWriteTMax:
     def test_hundredfold_nominal(self, default_cell):
         nominal = write_time_closed(default_cell, default_cell.nmos.vth_nominal)
         assert default_write_t_max(default_cell) == pytest.approx(100.0 * nominal, abs=0)
-        assert default_write_t_max(default_cell, factor=30.0) == pytest.approx(
-            30.0 * nominal
-        )
